@@ -392,9 +392,9 @@ class Table1Report:
             "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip()
             for line in [header, *body]
         ]
+        tolerance = max(cell.tolerance for cell in self.cells)
         lines.append(
-            "all 15 cells verified (classical bit-exact, quantum within "
-            f"{QUANTUM_CHECK_TOL})"
+            f"all 15 cells verified (classical bit-exact, quantum within {tolerance})"
         )
         return "\n".join(lines)
 
@@ -410,13 +410,14 @@ def table1(
     *,
     restarts: int = quantum.DEFAULT_RESTARTS,
     seed: int,
+    tolerance: float = QUANTUM_CHECK_TOL,
     _corrupt_cell: str | None = None,
 ) -> Table1Report:
     """Recompute the three-party reference table and check every cell.
 
     Classical cells come from exhaustive enumeration and must match the stored
     closed forms bit-exactly; quantum cells come from see-saw ascent (full or
-    block-product constrained) and must match within 1e-6.  Any mismatch
+    block-product constrained) and must match within `tolerance`.  Any mismatch
     raises NumericalIntegrityError naming the offending cell; this is the
     package's flagship self-test.
 
@@ -452,17 +453,17 @@ def table1(
             if _corrupt_cell == f"{row}:{column}":
                 stored = Root2Power(stored.half_exponent + 2)
             value = recomputed[row][column]
-            tolerance = QUANTUM_CHECK_TOL if column in _QUANTUM_COLUMNS else 0.0
-            _check_cell(row, column, stored, value, tolerance)
-            cells.append(Table1Cell(row, column, stored, value, tolerance))
+            cell_tol = tolerance if column in _QUANTUM_COLUMNS else 0.0
+            _check_cell(row, column, stored, value, cell_tol)
+            cells.append(Table1Cell(row, column, stored, value, cell_tol))
     for column in TABLE1_COLUMNS:
         stored = _TABLE1_STORED["M3"][column] * _TABLE1_STORED["S3"][column]
         if _corrupt_cell == f"product:{column}":
             stored = Root2Power(stored.half_exponent + 2)
         value = recomputed["M3"][column] * recomputed["S3"][column]
-        tolerance = QUANTUM_CHECK_TOL if column in _QUANTUM_COLUMNS else 0.0
-        _check_cell("product", column, stored, value, tolerance)
-        cells.append(Table1Cell("product", column, stored, value, tolerance))
+        cell_tol = tolerance if column in _QUANTUM_COLUMNS else 0.0
+        _check_cell("product", column, stored, value, cell_tol)
+        cells.append(Table1Cell("product", column, stored, value, cell_tol))
     return Table1Report(cells=tuple(cells))
 
 

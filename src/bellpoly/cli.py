@@ -47,7 +47,6 @@ class RunConfig:
     output_format: str = "text"
     local_cap: int = models.DEFAULT_LOCAL_CAP
     hybrid_block_cap: int = models.DEFAULT_HYBRID_BLOCK_CAP
-    brute_settings_cap: int = models.DEFAULT_BRUTE_SETTINGS_CAP
     spectral_cap: int = quantum.DEFAULT_SPECTRAL_CAP
     seesaw_tol: float = quantum.DEFAULT_SEESAW_TOL
     seesaw_max_sweeps: int = quantum.DEFAULT_MAX_SWEEPS
@@ -55,8 +54,8 @@ class RunConfig:
     verdict_tol: float = classify.VERDICT_TOL
 
     def __post_init__(self) -> None:
-        for name in ("restarts", "local_cap", "hybrid_block_cap", "brute_settings_cap",
-                     "spectral_cap", "seesaw_max_sweeps"):
+        for name in ("restarts", "local_cap", "hybrid_block_cap", "spectral_cap",
+                     "seesaw_max_sweeps"):
             if getattr(self, name) < 1:
                 raise InvalidArgumentError(f"{name} must be positive")
         for name in ("seesaw_tol", "verify_tol", "verdict_tol"):
@@ -370,6 +369,7 @@ def cmd_table1(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str]:
     report = classify.table1(
         restarts=config.restarts,
         seed=config.seed,
+        tolerance=config.verify_tol,
         _corrupt_cell=args.inject_mismatch,
     )
     doc = {
@@ -407,9 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--hybrid-block-cap", type=int,
                         default=models.DEFAULT_HYBRID_BLOCK_CAP,
                         help="max size of the enumerated hybrid block")
-    parser.add_argument("--brute-settings-cap", type=int,
-                        default=models.DEFAULT_BRUTE_SETTINGS_CAP,
-                        help="max 2^|block| per side for the oracle enumeration")
     parser.add_argument("--spectral-cap", type=int, default=quantum.DEFAULT_SPECTRAL_CAP,
                         help="max qubit count for dense spectral computations")
     parser.add_argument("--seesaw-tol", type=float, default=quantum.DEFAULT_SEESAW_TOL,
@@ -483,7 +480,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             output_format=args.format,
             local_cap=args.local_cap,
             hybrid_block_cap=args.hybrid_block_cap,
-            brute_settings_cap=args.brute_settings_cap,
             spectral_cap=args.spectral_cap,
             seesaw_tol=args.seesaw_tol,
             seesaw_max_sweeps=args.seesaw_max_sweeps,

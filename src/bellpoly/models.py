@@ -249,11 +249,13 @@ def evaluate_local(p: Polynomial, s: LocalStrategy) -> float:
 
 
 def _coefficient_tensor(p: Polynomial) -> np.ndarray:
-    w = np.zeros((2,) * p.n)
-    for term, coef in p.terms.items():
-        idx = tuple((term.prime_mask >> j) & 1 for j in range(p.n))
-        w[idx] = float(coef)
-    return w
+    """Shape (2,) * n; axis j is party j's setting (0 plain, 1 primed)."""
+    masks = np.array([term.prime_mask for term in p.terms], dtype=np.int64)
+    # party 0's bit is the most significant bit of the C-order flat index
+    flat = sum(((masks >> j) & 1) << (p.n - 1 - j) for j in range(p.n))
+    w = np.zeros(1 << p.n)
+    w[flat] = [float(coef) for coef in p.terms.values()]
+    return w.reshape((2,) * p.n)
 
 
 def local_bound(p: Polynomial, *, cap: int = DEFAULT_LOCAL_CAP) -> BoundResult:

@@ -6,10 +6,20 @@ the outcome symbols of a correlation polynomial yields a Hermitian Bell
 operator on n qubits; its expectation values and top eigenvalue give the
 quantum side of every bound in this package.
 
-The expectation is linear in each setting's Bloch vector, which makes
-coordinate ascent exact: replacing a vector by its normalized effective field
-is the optimal update for that coordinate.  See-saw runs below exploit this,
-optionally alternating with eigenvector steps for the state.
+All operators come from one fold: the polynomial's coefficient tensor (one
+axis per party, indexed by that party's setting) is contracted one party at a
+time with the party's stacked pair of observables.  Folding every party gives
+the Bell matrix; folding all parties but one leaves that party's two settings
+open, which yields both of its effective fields in one contraction.  No
+intermediate is larger than the Bell matrix itself.
+
+States enter as density matrices (a pure state as |psi><psi|), and every
+expectation is Re Tr(rho B).  The expectation is linear in each setting's
+Bloch vector, g_0 . v_0 + g_1 . v_1 for any one party, which makes coordinate
+ascent exact: replacing a vector by its normalized effective field is the
+optimal update for that coordinate, and the new value follows from the fields
+alone.  Each see-saw sweep recomputes Re Tr(rho B) once from a fresh fold and
+raises NumericalIntegrityError if the tracked value drifted from it.
 """
 
 from __future__ import annotations
@@ -17,7 +27,6 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence, Union
 
 import numpy as np
@@ -29,6 +38,7 @@ from .errors import (
     ResourceLimitError,
 )
 from . import polynomial
+from .models import _coefficient_tensor
 from .polynomial import Polynomial
 
 __all__ = [
@@ -67,6 +77,7 @@ _UNIT_TOL = 1e-12
 _HERMITIAN_TOL = 1e-10
 _IMAG_DISCARD = 1e-10
 _IMAG_ERROR = 1e-8
+_SWEEP_DRIFT_TOL = 1e-9
 
 _SIGMA = np.array(
     [
@@ -231,17 +242,33 @@ def observable(v: UnitVector) -> np.ndarray:
     return v.x * _SIGMA[0] + v.y * _SIGMA[1] + v.z * _SIGMA[2]
 
 
-def _pair_ops(f: MeasurementFrame) -> list[list[np.ndarray]]:
-    return [[observable(v), observable(w)] for v, w in f.pairs]
+def _pair_ops(f: MeasurementFrame) -> np.ndarray:
+    """Shape (n, 2, 2, 2): per party, the stacked (plain, primed) observables."""
+    return np.array([[observable(v), observable(w)] for v, w in f.pairs])
 
 
-def _bell_matrix(p: Polynomial, ops: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
-    n = p.n
-    total = np.zeros((1 << n, 1 << n), dtype=complex)
-    for term, coef in p.terms.items():
-        factors = [ops[j][1 if term.primed(j) else 0] for j in range(n)]
-        total += float(coef) * reduce(np.kron, factors)
-    return total
+def _fold(p: Polynomial, ops: np.ndarray, parties: Sequence[int]) -> np.ndarray:
+    """The polynomial's operator over `parties` (ascending), other settings left open.
+
+    The coefficient tensor (axis j = party j's setting) is contracted one party
+    at a time with that party's stacked observables.  The result has shape
+    (2,) * len(others) + (2**k, 2**k), where the leading axes are the settings
+    of the parties not folded and the first folded party is the most
+    significant qubit.  Folding k parties holds 2**(n + k) entries, so no
+    intermediate exceeds the 4**n of the full Bell matrix.
+    """
+    others = [j for j in range(p.n) if j not in parties]
+    lead = 1 << len(others)
+    t = np.transpose(_coefficient_tensor(p), others + list(parties)).reshape(lead, -1, 1, 1)
+    for j in parties:
+        dim = t.shape[-1]
+        t = t.reshape(lead, 2, -1, dim, dim)
+        t = np.einsum("lsrac,sbd->lrabcd", t, ops[j]).reshape(lead, -1, 2 * dim, 2 * dim)
+    return t.reshape((2,) * len(others) + t.shape[-2:])
+
+
+def _bell_matrix(p: Polynomial, ops: np.ndarray) -> np.ndarray:
+    return _fold(p, ops, range(p.n))
 
 
 def bell_operator(p: Polynomial, f: MeasurementFrame) -> BellOperator:
@@ -278,15 +305,22 @@ def _real_part(value: complex, what: str) -> float:
     return float(value.real)
 
 
+def _density(state: State) -> np.ndarray:
+    if isinstance(state, PureState):
+        return np.outer(state.amplitudes, state.amplitudes.conj())
+    return state.entries
+
+
+def _trace_product(rho: np.ndarray, matrix: np.ndarray) -> float:
+    """Re Tr(rho B), after checking the imaginary residue."""
+    return _real_part(complex(np.einsum("ij,ji->", rho, matrix)), "expectation value")
+
+
 def expectation(op: BellOperator, state: State) -> float:
-    """<psi|O|psi> for pure states, Tr(rho O) for density matrices."""
+    """Tr(rho O); a pure state enters as rho = |psi><psi|."""
     if op.n != state.n:
         raise InvalidArgumentError(f"operator has {op.n} qubits, state has {state.n}")
-    if isinstance(state, PureState):
-        value = complex(np.vdot(state.amplitudes, op.entries @ state.amplitudes))
-    else:
-        value = complex(np.trace(state.entries @ op.entries))
-    return _real_part(value, "expectation value")
+    return _trace_product(_density(state), op.entries)
 
 
 def _canonical_phase(vec: np.ndarray) -> np.ndarray:
@@ -295,14 +329,17 @@ def _canonical_phase(vec: np.ndarray) -> np.ndarray:
     return vec * phase.conjugate()
 
 
+def _top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+    eigenvalues, vectors = np.linalg.eigh(matrix)
+    return float(eigenvalues[-1]), _canonical_phase(vectors[:, -1])
+
+
 def max_eigenvalue(op: BellOperator) -> tuple[float, PureState]:
     """Largest eigenvalue and a normalized eigenvector (phase-canonicalized)."""
     try:
-        eigenvalues, vectors = np.linalg.eigh(op.entries)
+        value, vec = _top_eigenpair(op.entries)
     except np.linalg.LinAlgError as exc:
         raise NumericalIntegrityError(f"eigensolver failed: {exc}") from exc
-    value = float(eigenvalues[-1])
-    vec = _canonical_phase(vectors[:, -1])
     residual = float(np.linalg.norm(op.entries @ vec - value * vec))
     if residual > 1e-9:
         raise NumericalIntegrityError(
@@ -312,102 +349,29 @@ def max_eigenvalue(op: BellOperator) -> tuple[float, PureState]:
 
 
 # ---------------------------------------------------------------------------
-# Fast expectation machinery (shared by the public API and the see-saw)
+# Effective fields
 # ---------------------------------------------------------------------------
 
 
-def _apply_single(op: np.ndarray, psi_t: np.ndarray, party: int) -> np.ndarray:
-    out = np.tensordot(op, psi_t, axes=([1], [party]))
-    return np.moveaxis(out, 0, party)
+def _fields(p: Polynomial, ops: np.ndarray, rho: np.ndarray, party: int) -> np.ndarray:
+    """Effective Bloch vectors of both settings of `party`, shape (2, 3).
 
-
-def _state_tensors(state: State) -> tuple[np.ndarray, np.ndarray | None]:
-    """Return (tensor, flat) for pure states, (tensor, None) for density matrices."""
-    if isinstance(state, PureState):
-        return state.amplitudes.reshape((2,) * state.n), state.amplitudes
-    return state.entries.reshape((2,) * (2 * state.n)), None
-
-
-def _term_value_pure(
-    mask: int, ops: Sequence[Sequence[np.ndarray]], psi_t: np.ndarray, psi: np.ndarray, n: int
-) -> complex:
-    phi = psi_t
-    for j in range(n):
-        phi = _apply_single(ops[j][(mask >> j) & 1], phi, j)
-    return complex(np.vdot(psi, phi.reshape(-1)))
-
-
-def _term_value_rho(
-    mask: int,
-    ops: Sequence[Sequence[np.ndarray]],
-    rho_t: np.ndarray,
-    n: int,
-    override: tuple[int, np.ndarray] | None = None,
-) -> complex:
-    letters = string.ascii_letters
-    rows, cols = letters[:n], letters[n : 2 * n]
-    subs = [rows + cols]
-    operands: list[np.ndarray] = [rho_t]
-    for j in range(n):
-        op = ops[j][(mask >> j) & 1]
-        if override is not None and override[0] == j:
-            op = override[1]
-        subs.append(cols[j] + rows[j])
-        operands.append(op)
-    return complex(np.einsum(",".join(subs) + "->", *operands, optimize=True))
-
-
-def _frame_expectation(
-    p: Polynomial, ops: Sequence[Sequence[np.ndarray]], state: State
-) -> float:
-    tensor, flat = _state_tensors(state)
-    total = 0.0 + 0.0j
-    for term, coef in p.terms.items():
-        if flat is not None:
-            val = _term_value_pure(term.prime_mask, ops, tensor, flat, p.n)
-        else:
-            val = _term_value_rho(term.prime_mask, ops, tensor, p.n)
-        total += float(coef) * val
-    return _real_part(total, "expectation value")
-
-
-def _effective_field(
-    p: Polynomial,
-    ops: Sequence[Sequence[np.ndarray]],
-    state: State,
-    party: int,
-    primed: bool,
-) -> np.ndarray:
-    """The 3-vector g with expectation = g . v + (terms not using this setting)."""
+    Every term holds exactly one setting of each party, so the expectation is
+    g_0 . v_0 + g_1 . v_1, and neither field depends on either of the party's
+    own settings.  With F_s the fold over the other parties at setting s,
+    g_s[w] = Tr(rho (sigma_w (x) F_s)), sigma_w acting on `party`.
+    """
     n = p.n
-    want = 1 if primed else 0
-    tensor, flat = _state_tensors(state)
-    g = np.zeros(3)
-    if flat is not None:
-        acc = np.zeros_like(tensor)
-        for term, coef in p.terms.items():
-            if ((term.prime_mask >> party) & 1) != want:
-                continue
-            phi = tensor
-            for j in range(n):
-                if j == party:
-                    continue
-                phi = _apply_single(ops[j][(term.prime_mask >> j) & 1], phi, j)
-            acc = acc + float(coef) * phi
-        for w in range(3):
-            val = complex(np.vdot(flat, _apply_single(_SIGMA[w], acc, party).reshape(-1)))
-            g[w] = _real_part(val, "effective Bloch component")
-    else:
-        for w in range(3):
-            total = 0.0 + 0.0j
-            for term, coef in p.terms.items():
-                if ((term.prime_mask >> party) & 1) != want:
-                    continue
-                total += float(coef) * _term_value_rho(
-                    term.prime_mask, ops, tensor, n, override=(party, _SIGMA[w])
-                )
-            g[w] = _real_part(total, "effective Bloch component")
-    return g
+    rest = _fold(p, ops, [j for j in range(n) if j != party])
+    high, low = 1 << party, 1 << (n - 1 - party)
+    # rho[(a x b), (c y d)] -> [(x y), (c d a b)], x and y the row and column of `party`
+    r = rho.reshape(high, 2, low, high, 2, low).transpose(1, 4, 3, 5, 0, 2).reshape(4, -1)
+    # k[x, y, s] = sum rho[a x b, c y d] F_s[c d, a b]
+    k = (r @ rest.reshape(2, -1).T).reshape(2, 2, 2)
+    g = np.einsum("xys,wyx->sw", k, _SIGMA)
+    return np.array(
+        [[_real_part(complex(c), "effective Bloch component") for c in row] for row in g]
+    )
 
 
 def effective_bloch(
@@ -420,7 +384,7 @@ def effective_bloch(
         raise InvalidArgumentError(f"polynomial has {p.n} parties, state has {state.n}")
     if not 0 <= party < p.n:
         raise InvalidArgumentError(f"party index {party} out of range for n={p.n}")
-    return _effective_field(p, _pair_ops(f), state, party, bool(primed))
+    return _fields(p, _pair_ops(f), _density(state), party)[1 if primed else 0]
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +416,11 @@ def random_state(n: int, rng: np.random.Generator) -> PureState:
     return PureState(n, amps / np.linalg.norm(amps))
 
 
-def _raw_random_vectors(n: int, rng: np.random.Generator) -> list[list[np.ndarray]]:
-    return [[_random_unit(rng), _random_unit(rng)] for _ in range(n)]
+def _raw_random_vectors(n: int, rng: np.random.Generator) -> np.ndarray:
+    return np.array([[_random_unit(rng), _random_unit(rng)] for _ in range(n)])
 
 
-def _vectors_to_frame(vectors: Sequence[Sequence[np.ndarray]]) -> MeasurementFrame:
+def _vectors_to_frame(vectors: np.ndarray) -> MeasurementFrame:
     return MeasurementFrame(
         tuple(
             (UnitVector.from_array(pair[0]), UnitVector.from_array(pair[1]))
@@ -465,11 +429,8 @@ def _vectors_to_frame(vectors: Sequence[Sequence[np.ndarray]]) -> MeasurementFra
     )
 
 
-def _ops_from_vectors(vectors: Sequence[Sequence[np.ndarray]]) -> list[list[np.ndarray]]:
-    return [
-        [np.tensordot(pair[0], _SIGMA, axes=(0, 0)), np.tensordot(pair[1], _SIGMA, axes=(0, 0))]
-        for pair in vectors
-    ]
+def _ops_from_vectors(vectors: np.ndarray) -> np.ndarray:
+    return np.tensordot(vectors, _SIGMA, axes=(-1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -500,24 +461,37 @@ class BlockProductResult:
 
 def _settings_sweep(
     p: Polynomial,
-    vectors: list[list[np.ndarray]],
-    ops: list[list[np.ndarray]],
-    state: State,
+    vectors: np.ndarray,
+    ops: np.ndarray,
+    rho: np.ndarray,
     history: list[float] | None,
-) -> float:
+) -> tuple[float, np.ndarray]:
+    """One exact coordinate-ascent pass over all 2n settings, updating in place.
+
+    Returns the value after the pass and the Bell matrix of the updated
+    frame.  The value is tracked through the fields, g_0 . v_0 + g_1 . v_1,
+    and checked once against Re Tr(rho B) of a fresh fold.
+    """
     value = math.nan
     for j in range(p.n):
+        g = _fields(p, ops, rho, j)
         for s in (0, 1):
-            g = _effective_field(p, ops, state, j, bool(s))
-            norm = float(np.linalg.norm(g))
+            norm = float(np.linalg.norm(g[s]))
             if norm > 1e-14:
-                vectors[j][s] = g / norm
-                ops[j][s] = np.tensordot(vectors[j][s], _SIGMA, axes=(0, 0))
+                vectors[j, s] = g[s] / norm
             # degenerate coordinate: keep the previous setting
-            value = _frame_expectation(p, ops, state)
+            value = float(g[0] @ vectors[j, 0] + g[1] @ vectors[j, 1])
             if history is not None:
                 history.append(value)
-    return value
+        ops[j] = _ops_from_vectors(vectors[j])
+    matrix = _bell_matrix(p, ops)
+    fresh = _trace_product(rho, matrix)
+    if abs(fresh - value) > _SWEEP_DRIFT_TOL:
+        raise NumericalIntegrityError(
+            f"swept value {value!r} differs from the recomputed expectation {fresh!r} "
+            f"by more than {_SWEEP_DRIFT_TOL}"
+        )
+    return value, matrix
 
 
 def seesaw(
@@ -541,16 +515,17 @@ def seesaw(
         raise InvalidArgumentError(f"polynomial has {p.n} parties, state has {state.n}")
     if restarts < 1:
         raise InvalidArgumentError("restarts must be >= 1")
+    rho = _density(state)
     best: SeesawResult | None = None
     for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
         vectors = _raw_random_vectors(p.n, rng)
         ops = _ops_from_vectors(vectors)
-        history: list[float] = [_frame_expectation(p, ops, state)]
+        history: list[float] = [_trace_product(rho, _bell_matrix(p, ops))]
         value = history[0]
         for _ in range(max_sweeps):
             before = value
-            value = _settings_sweep(p, vectors, ops, state, history)
+            value, _ = _settings_sweep(p, vectors, ops, rho, history)
             if value - before < tol:
                 break
         if best is None or value > best.value:
@@ -589,19 +564,16 @@ def quantum_max(
         rng = np.random.default_rng(child)
         vectors = _raw_random_vectors(p.n, rng)
         ops = _ops_from_vectors(vectors)
+        matrix = _bell_matrix(p, ops)
         value = -math.inf
-        state: PureState | None = None
         for _ in range(max_rounds):
-            eigenvalues, eigvecs = np.linalg.eigh(_bell_matrix(p, ops))
-            state = PureState(p.n, _canonical_phase(eigvecs[:, -1]))
-            swept = _settings_sweep(p, vectors, ops, state, None)
+            _, psi = _top_eigenpair(matrix)
+            swept, matrix = _settings_sweep(p, vectors, ops, _density(PureState(p.n, psi)), None)
             if swept - value < tol:
-                value = swept
                 break
             value = swept
-        eigenvalues, eigvecs = np.linalg.eigh(_bell_matrix(p, ops))
-        value = float(eigenvalues[-1])
-        state = PureState(p.n, _canonical_phase(eigvecs[:, -1]))
+        value, psi = _top_eigenpair(matrix)
+        state = PureState(p.n, psi)
         if best is None or value > best.value:
             best = QuantumMaxResult(value=value, frame=_vectors_to_frame(vectors), state=state)
     assert best is not None
@@ -686,17 +658,13 @@ def block_product_max(
         ops = _ops_from_vectors(vectors)
         phi_a = random_state(len(a), rng).amplitudes
         phi_b = random_state(len(b), rng).amplitudes
+        matrix = _bell_matrix(p, ops)
         value = -math.inf
         for _ in range(max_rounds):
-            matrix = _bell_matrix(p, ops)
-            op_a = _partial_matrix(matrix, p.n, a, b, phi_b)
-            _, vecs = np.linalg.eigh(op_a)
-            phi_a = _canonical_phase(vecs[:, -1])
-            op_b = _partial_matrix(matrix, p.n, b, a, phi_a)
-            eigs_b, vecs = np.linalg.eigh(op_b)
-            phi_b = _canonical_phase(vecs[:, -1])
-            state = PureState(p.n, _embed_product(phi_a, a, phi_b, b, p.n))
-            swept = _settings_sweep(p, vectors, ops, state, None)
+            _, phi_a = _top_eigenpair(_partial_matrix(matrix, p.n, a, b, phi_b))
+            _, phi_b = _top_eigenpair(_partial_matrix(matrix, p.n, b, a, phi_a))
+            psi = _embed_product(phi_a, a, phi_b, b, p.n)
+            swept, matrix = _settings_sweep(p, vectors, ops, _density(PureState(p.n, psi)), None)
             if swept - value < tol:
                 value = swept
                 break

@@ -4,7 +4,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,15 @@ def run_cli(*args: str) -> CliResult:
         except SystemExit as exc:  # argparse usage failures
             code = exc.code if isinstance(exc.code, int) else 2
     return CliResult(code, out.getvalue(), err.getvalue())
+
+
+def run_module(*args: str) -> subprocess.CompletedProcess:
+    """`python -m bellpoly` in a fresh interpreter that imports the package under test."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, "-m", "bellpoly", *args], capture_output=True, text=True, env=env
+    )
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from conftest import (
     SQRT2,
     mermin3_frame,
     run_cli,
+    run_module,
     svetlichny3_correlations,
 )
 
@@ -241,6 +242,14 @@ class TestTable1:
         assert doc["verified"] is True
         assert len(doc["cells"]) == 15
 
+    def test_verify_tol_sets_quantum_cell_tolerance(self):
+        res = run_cli("--restarts", "8", "--verify-tol", "1e-3", "--format", "structured", "table1")
+        cells = res.json()["cells"]
+        for cell in cells:
+            quantum = cell["column"].startswith("quantum")
+            assert cell["tolerance"] == (0.001 if quantum else 0.0)
+        assert sum(cell["column"].startswith("quantum") for cell in cells) == 6
+
     def test_injected_mismatch_fails_with_cell(self):
         res = run_cli("--restarts", "4", "table1", "--inject-mismatch", "S3:local")
         assert res.code == 5
@@ -273,37 +282,20 @@ class TestSubprocess:
     """The installed entry point, end to end in a fresh interpreter."""
 
     def test_module_invocation_and_determinism(self):
-        import subprocess
-        import sys
-
-        cmd = [
-            sys.executable, "-m", "bellpoly",
-            "--format", "structured", "--restarts", "2", "qmax", "mk", "2",
-        ]
-        first = subprocess.run(cmd, capture_output=True, text=True)
-        second = subprocess.run(cmd, capture_output=True, text=True)
+        cmd = ("--format", "structured", "--restarts", "2", "qmax", "mk", "2")
+        first = run_module(*cmd)
+        second = run_module(*cmd)
         assert first.returncode == 0
         assert first.stdout == second.stdout
         assert json.loads(first.stdout)["value"] == pytest.approx(SQRT2, abs=1e-6)
 
     def test_help_exits_zero(self):
-        import subprocess
-        import sys
-
-        res = subprocess.run(
-            [sys.executable, "-m", "bellpoly", "--help"], capture_output=True, text=True
-        )
+        res = run_module("--help")
         assert res.returncode == 0
         assert "table1" in res.stdout
 
     def test_usage_error_exit_code(self):
-        import subprocess
-        import sys
-
-        res = subprocess.run(
-            [sys.executable, "-m", "bellpoly", "poly", "nonsense", "3"],
-            capture_output=True, text=True,
-        )
+        res = run_module("poly", "nonsense", "3")
         assert res.returncode == 2
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from bellpoly import models as M
@@ -68,6 +69,14 @@ class TestLocalBound:
 
     def test_empty_polynomial(self):
         assert M.local_bound(Polynomial(2, {})).value == 0.0
+
+    @pytest.mark.parametrize("poly", [P.mk(1), P.mk(5), P.svetlichny(8), Polynomial(3, {})])
+    def test_coefficient_tensor_axes_are_party_settings(self, poly):
+        w = M._coefficient_tensor(poly)
+        assert w.shape == (2,) * poly.n
+        for term, coef in poly.terms.items():
+            assert w[tuple(int(term.primed(j)) for j in range(poly.n))] == float(coef)
+        assert np.count_nonzero(w) == len(poly.terms)
 
 
 class TestBipartitions:

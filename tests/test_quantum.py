@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellpoly import models as M
 from bellpoly import polynomial as P
@@ -13,6 +15,7 @@ from bellpoly import quantum as Q
 from bellpoly.errors import (
     DataFormatError,
     InvalidArgumentError,
+    NumericalIntegrityError,
     ResourceLimitError,
 )
 from bellpoly.polynomial import DyadicCoefficient, Polynomial, Term
@@ -30,6 +33,31 @@ def random_dyadic_polynomial(n: int, rng: np.random.Generator) -> Polynomial:
             for m in masks
         },
     )
+
+
+def dense_sum(p: Polynomial, frame: MeasurementFrame, replace=None) -> np.ndarray:
+    """The per-term Kronecker sum, straight from the definition.
+
+    With `replace=(party, setting, op)`, only terms using that setting are
+    kept, with `op` in place of that party's observable.
+    """
+    ops = [[Q.observable(v), Q.observable(w)] for v, w in frame.pairs]
+    total = np.zeros((1 << p.n, 1 << p.n), dtype=complex)
+    for term, coef in p.terms.items():
+        factors = [ops[j][1 if term.primed(j) else 0] for j in range(p.n)]
+        if replace is not None:
+            party, setting, op = replace
+            if term.primed(party) != setting:
+                continue
+            factors[party] = op
+        total += float(coef) * reduce(np.kron, factors)
+    return total
+
+
+def random_density(n: int, rng: np.random.Generator) -> DensityMatrix:
+    weights = rng.dirichlet(np.ones(3))
+    kets = [Q.random_state(n, rng).amplitudes for _ in weights]
+    return DensityMatrix(n, sum(w * np.outer(k, k.conj()) for w, k in zip(weights, kets)))
 
 
 class TestObservable:
@@ -264,6 +292,43 @@ class TestEffectiveBloch:
             assert np.allclose(g_pure, g_rho, atol=1e-10)
 
 
+class TestFoldOracle:
+    """The fold against the dense per-term Kronecker sum, to 1e-12."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_bell_matrix_and_expectations(self, n, seed):
+        rng = np.random.default_rng(seed)
+        poly = random_dyadic_polynomial(n, rng)
+        frame = Q.random_frame(n, rng)
+        dense = dense_sum(poly, frame)
+        op = Q.bell_operator(poly, frame)
+        assert np.max(np.abs(op.entries - dense)) < 1e-12
+        psi = Q.random_state(n, rng)
+        pure = np.vdot(psi.amplitudes, dense @ psi.amplitudes).real
+        assert Q.expectation(op, psi) == pytest.approx(pure, abs=1e-12)
+        rho = random_density(n, rng)
+        mixed = np.trace(rho.entries @ dense).real
+        assert Q.expectation(op, rho) == pytest.approx(mixed, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
+    def test_fields_of_every_setting(self, n, seed, mixed):
+        rng = np.random.default_rng(seed)
+        poly = random_dyadic_polynomial(n, rng)
+        frame = Q.random_frame(n, rng)
+        state = random_density(n, rng) if mixed else Q.random_state(n, rng)
+        rho = state.entries if mixed else np.outer(state.amplitudes, state.amplitudes.conj())
+        for party in range(n):
+            for primed in (False, True):
+                g = Q.effective_bloch(poly, frame, state, party, primed)
+                oracle = [
+                    np.trace(rho @ dense_sum(poly, frame, (party, primed, sigma))).real
+                    for sigma in Q._SIGMA
+                ]
+                assert np.max(np.abs(g - oracle)) < 1e-12
+
+
 class TestSeesaw:
     def test_mk2_on_ghz2(self):
         result = Q.seesaw(P.mk(2), Q.ghz(2), restarts=8, seed=1)
@@ -316,6 +381,36 @@ class TestSeesaw:
         with pytest.raises(InvalidArgumentError):
             Q.seesaw(P.mk(2), Q.ghz(3), restarts=1, seed=0)
 
+    def test_pure_state_and_its_density_matrix_agree(self):
+        psi = Q.random_state(4, np.random.default_rng(31))
+        rho = DensityMatrix(4, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+        pure = Q.seesaw(P.mk(4), psi, restarts=3, seed=8)
+        mixed = Q.seesaw(P.mk(4), rho, restarts=3, seed=8)
+        assert pure.value == pytest.approx(mixed.value, abs=1e-12)
+        for (v, w), (v2, w2) in zip(pure.frame.pairs, mixed.frame.pairs):
+            assert np.allclose(v.as_array(), v2.as_array(), rtol=0, atol=1e-12)
+            assert np.allclose(w.as_array(), w2.as_array(), rtol=0, atol=1e-12)
+
+    def test_last_history_entry_is_the_value_of_the_frame(self):
+        rng = np.random.default_rng(32)
+        poly = random_dyadic_polynomial(4, rng)
+        for state in (Q.random_state(4, rng), random_density(4, rng)):
+            result = Q.seesaw(poly, state, restarts=2, seed=3)
+            assert len(result.history) % (2 * poly.n) == 1
+            exact = Q.expectation(Q.bell_operator(poly, result.frame), state)
+            assert result.history[-1] == pytest.approx(exact, abs=1e-12)
+            assert result.value == result.history[-1]
+
+    def test_drift_from_the_recomputed_value_is_an_integrity_error(self, monkeypatch):
+        fold_all = Q._bell_matrix
+
+        def tampered(p, ops):
+            return fold_all(p, ops) + 1e-6 * np.eye(1 << p.n)
+
+        monkeypatch.setattr(Q, "_bell_matrix", tampered)
+        with pytest.raises(NumericalIntegrityError):
+            Q.seesaw(P.mk(3), Q.ghz(3), restarts=1, seed=0)
+
 
 class TestQuantumMax:
     @pytest.mark.parametrize(
@@ -338,6 +433,10 @@ class TestQuantumMax:
     def test_spectral_cap(self):
         with pytest.raises(ResourceLimitError):
             Q.quantum_max(P.mk(4), restarts=1, seed=0, cap=3)
+
+    def test_mk10_at_the_default_cap(self):
+        result = Q.quantum_max(P.mk(10), restarts=1, seed=1)
+        assert result.value == pytest.approx(2.0**4.5, abs=1e-9)
 
 
 class TestBlockProductMax:
