@@ -313,10 +313,9 @@ def bipartitions(n: int) -> tuple[Bipartition, ...]:
 def _block_coefficient_matrix(
     p: Polynomial, a: tuple[int, ...], b: tuple[int, ...]
 ) -> np.ndarray:
-    c = np.zeros((1 << len(a), 1 << len(b)))
-    for term, coef in p.terms.items():
-        c[_extract_bits(term.prime_mask, a), _extract_bits(term.prime_mask, b)] += float(coef)
-    return c
+    """Coefficients indexed by (A's settings, B's settings); a[0] is the lowest bit."""
+    axes = a[::-1] + b[::-1]
+    return np.transpose(_coefficient_tensor(p), axes).reshape(1 << len(a), 1 << len(b))
 
 
 def _sign_rows(num_tuples: int, start: int, stop: int) -> np.ndarray:

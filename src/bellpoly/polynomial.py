@@ -11,6 +11,7 @@ Party indices are 0-based inside the library and 1-based in every text form
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -160,8 +161,14 @@ class DyadicCoefficient:
     def __bool__(self) -> bool:
         return self.numerator != 0
 
-    # Comparison through float is exact here: canonical dyadics in this
-    # library stay far inside the range binary floats represent exactly.
+    # Comparisons align denominators as addition does, so they stay exact
+    # where float(self) would underflow or overflow.
+    def _sign_against(self, other: "DyadicLike") -> int | float:
+        """A number with the sign of self - other; nan, failing every comparison, for a nan."""
+        if isinstance(other, float) and not math.isfinite(other):
+            return -other  # every dyadic is finite
+        return (self - other).numerator
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DyadicCoefficient):
             return (self.numerator, self.log2_denominator) == (
@@ -169,23 +176,27 @@ class DyadicCoefficient:
                 other.log2_denominator,
             )
         if isinstance(other, (int, float)):
-            return float(self) == other
+            return self._sign_against(other) == 0
         return NotImplemented
 
     def __lt__(self, other: "DyadicLike") -> bool:
-        return float(self) < float(self._coerce(other))
+        return self._sign_against(other) < 0
 
     def __le__(self, other: "DyadicLike") -> bool:
-        return float(self) <= float(self._coerce(other))
+        return self._sign_against(other) <= 0
 
     def __gt__(self, other: "DyadicLike") -> bool:
-        return float(self) > float(self._coerce(other))
+        return self._sign_against(other) > 0
 
     def __ge__(self, other: "DyadicLike") -> bool:
-        return float(self) >= float(self._coerce(other))
+        return self._sign_against(other) >= 0
 
     def __hash__(self) -> int:
-        return hash(float(self))
+        # equal to the hash of an equal int, float or Fraction; imported here
+        # because fractions loads decimal, which nothing else in the library needs
+        from fractions import Fraction
+
+        return hash(Fraction(self.numerator, 1 << self.log2_denominator))
 
     def __str__(self) -> str:
         return f"{self.numerator}/2^{self.log2_denominator}"

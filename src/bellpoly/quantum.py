@@ -20,14 +20,22 @@ ascent exact: replacing a vector by its normalized effective field is the
 optimal update for that coordinate, and the new value follows from the fields
 alone.  Each see-saw sweep recomputes Re Tr(rho B) once from a fresh fold and
 raises NumericalIntegrityError if the tracked value drifted from it.
+
+The three searches share one ascent from a random frame.  A round is a state
+step, mapping the Bell matrix B to a state rho (the given state in `seesaw`,
+the top eigenvector in `quantum_max`, the best product across the bipartition
+in `block_product_max`), then one sweep.  A restart stops when a round gains
+less than `tol` over the value before it, the first round being measured
+against Re Tr(rho_0 B_0) on the start frame.  Of the seeded restarts the best
+is kept: a later one replaces it only if better by more than 1e-12, so ties go
+to the earliest start.
 """
 
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -78,6 +86,7 @@ _HERMITIAN_TOL = 1e-10
 _IMAG_DISCARD = 1e-10
 _IMAG_ERROR = 1e-8
 _SWEEP_DRIFT_TOL = 1e-9
+_TIE_MARGIN = 1e-12
 
 _SIGMA = np.array(
     [
@@ -142,19 +151,13 @@ class MeasurementFrame:
         return self.pairs[party][1 if primed else 0]
 
     def replace(self, party: int, primed: bool, v: UnitVector) -> "MeasurementFrame":
-        pairs = list(self.pairs)
-        pair = list(pairs[party])
-        pair[1 if primed else 0] = v
-        pairs[party] = tuple(pair)
-        return MeasurementFrame(tuple(pairs))
+        pairs = [list(pair) for pair in self.pairs]
+        pairs[party][1 if primed else 0] = v
+        return MeasurementFrame(tuple(map(tuple, pairs)))
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "settings": [
-                [[v.x, v.y, v.z], [w.x, w.y, w.z]] for v, w in self.pairs
-            ],
-        }
+        settings = [[[v.x, v.y, v.z], [w.x, w.y, w.z]] for v, w in self.pairs]
+        return {"n": self.n, "settings": settings}
 
 
 @dataclass(frozen=True)
@@ -204,6 +207,7 @@ class DensityMatrix:
 
 
 State = Union[PureState, DensityMatrix]
+_R = TypeVar("_R", "SeesawResult", "QuantumMaxResult", "BlockProductResult")
 
 
 @dataclass(frozen=True)
@@ -244,7 +248,7 @@ def observable(v: UnitVector) -> np.ndarray:
 
 def _pair_ops(f: MeasurementFrame) -> np.ndarray:
     """Shape (n, 2, 2, 2): per party, the stacked (plain, primed) observables."""
-    return np.array([[observable(v), observable(w)] for v, w in f.pairs])
+    return _ops_from_vectors(np.array([[v.as_array(), w.as_array()] for v, w in f.pairs]))
 
 
 def _fold(p: Polynomial, ops: np.ndarray, parties: Sequence[int]) -> np.ndarray:
@@ -305,10 +309,12 @@ def _real_part(value: complex, what: str) -> float:
     return float(value.real)
 
 
+def _projector(psi: np.ndarray) -> np.ndarray:
+    return np.outer(psi, psi.conj())
+
+
 def _density(state: State) -> np.ndarray:
-    if isinstance(state, PureState):
-        return np.outer(state.amplitudes, state.amplitudes.conj())
-    return state.entries
+    return _projector(state.amplitudes) if isinstance(state, PureState) else state.entries
 
 
 def _trace_product(rho: np.ndarray, matrix: np.ndarray) -> float:
@@ -323,15 +329,12 @@ def expectation(op: BellOperator, state: State) -> float:
     return _trace_product(_density(state), op.entries)
 
 
-def _canonical_phase(vec: np.ndarray) -> np.ndarray:
-    pivot = int(np.argmax(np.abs(vec)))
-    phase = vec[pivot] / abs(vec[pivot])
-    return vec * phase.conjugate()
-
-
 def _top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+    """The top eigenvalue and its eigenvector, phase fixed by the largest entry."""
     eigenvalues, vectors = np.linalg.eigh(matrix)
-    return float(eigenvalues[-1]), _canonical_phase(vectors[:, -1])
+    vec = vectors[:, -1]
+    pivot = vec[int(np.argmax(np.abs(vec)))]
+    return float(eigenvalues[-1]), vec * (pivot / abs(pivot)).conjugate()
 
 
 def max_eigenvalue(op: BellOperator) -> tuple[float, PureState]:
@@ -402,12 +405,7 @@ def _random_unit(rng: np.random.Generator) -> np.ndarray:
 
 def random_frame(n: int, rng: np.random.Generator) -> MeasurementFrame:
     """A frame of independent uniformly random directions."""
-    return MeasurementFrame(
-        tuple(
-            (UnitVector.from_array(_random_unit(rng)), UnitVector.from_array(_random_unit(rng)))
-            for _ in range(n)
-        )
-    )
+    return _vectors_to_frame(_raw_random_vectors(n, rng))
 
 
 def random_state(n: int, rng: np.random.Generator) -> PureState:
@@ -421,12 +419,7 @@ def _raw_random_vectors(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _vectors_to_frame(vectors: np.ndarray) -> MeasurementFrame:
-    return MeasurementFrame(
-        tuple(
-            (UnitVector.from_array(pair[0]), UnitVector.from_array(pair[1]))
-            for pair in vectors
-        )
-    )
+    return MeasurementFrame(tuple(tuple(map(UnitVector.from_array, pair)) for pair in vectors))
 
 
 def _ops_from_vectors(vectors: np.ndarray) -> np.ndarray:
@@ -494,6 +487,57 @@ def _settings_sweep(
     return value, matrix
 
 
+def _ascend(
+    p: Polynomial,
+    vectors: np.ndarray,
+    state_step: Callable[[np.ndarray], np.ndarray],
+    tol: float,
+    max_sweeps: int,
+    history: list[float] | None = None,
+) -> tuple[float, np.ndarray]:
+    """Rounds of state step and sweep from `vectors`, updated in place.
+
+    Returns the last swept value and the final frame's Bell matrix; `history`
+    gets the start value Re Tr(rho_0 B_0), then 2n entries per sweep.
+    """
+    ops = _ops_from_vectors(vectors)
+    matrix = _bell_matrix(p, ops)
+    rho = state_step(matrix)
+    value = _trace_product(rho, matrix)
+    if history is not None:
+        history.append(value)
+    for sweep in range(max_sweeps):
+        if sweep:
+            del rho  # hold one state at a time
+            rho = state_step(matrix)
+        before = value
+        value, matrix = _settings_sweep(p, vectors, ops, rho, history)
+        if value - before < tol:
+            break
+    return value, matrix
+
+
+def _best_restart(restarts: int, seed: int, attempt: Callable[[np.random.Generator], _R]) -> _R:
+    """The best-valued of `attempt`'s results over `restarts` seeded generators."""
+    if restarts < 1:
+        raise InvalidArgumentError("restarts must be >= 1")
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    results = (attempt(np.random.default_rng(child)) for child in children)
+    best = next(results)
+    for result in results:
+        if result.value > best.value + _TIE_MARGIN:
+            best = result
+    return best
+
+
+def _check_cap(p: Polynomial, cap: int) -> None:
+    if p.n > cap:
+        raise ResourceLimitError(
+            f"spectral computation for n={p.n} exceeds the cap n <= {cap} "
+            f"(--spectral-cap)"
+        )
+
+
 def seesaw(
     p: Polynomial,
     state: State,
@@ -507,33 +551,22 @@ def seesaw(
 
     Each update replaces one setting's vector by its normalized effective
     field, the exact optimum for that coordinate, so the objective never
-    decreases within a restart.  The best frame over `restarts` seeded random
-    starting frames is returned, together with the per-update value history of
-    the winning restart.
+    decreases within a restart.  A restart stops when a round gains less than
+    `tol` over the value before it, or after `max_sweeps` rounds.  The best
+    frame over `restarts` seeded random starting frames is returned, together
+    with the per-update value history of the winning restart.
     """
     if p.n != state.n:
         raise InvalidArgumentError(f"polynomial has {p.n} parties, state has {state.n}")
-    if restarts < 1:
-        raise InvalidArgumentError("restarts must be >= 1")
     rho = _density(state)
-    best: SeesawResult | None = None
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(child)
+
+    def attempt(rng: np.random.Generator) -> SeesawResult:
         vectors = _raw_random_vectors(p.n, rng)
-        ops = _ops_from_vectors(vectors)
-        history: list[float] = [_trace_product(rho, _bell_matrix(p, ops))]
-        value = history[0]
-        for _ in range(max_sweeps):
-            before = value
-            value, _ = _settings_sweep(p, vectors, ops, rho, history)
-            if value - before < tol:
-                break
-        if best is None or value > best.value:
-            best = SeesawResult(
-                frame=_vectors_to_frame(vectors), value=value, history=tuple(history)
-            )
-    assert best is not None
-    return best
+        history: list[float] = []
+        value, _ = _ascend(p, vectors, lambda matrix: rho, tol, max_sweeps, history)
+        return SeesawResult(_vectors_to_frame(vectors), value, tuple(history))
+
+    return _best_restart(restarts, seed, attempt)
 
 
 def quantum_max(
@@ -548,78 +581,20 @@ def quantum_max(
     """Joint maximum over states and settings.
 
     Alternates a state step (top eigenvector of the current Bell operator)
-    with one see-saw sweep of the settings, until the joint improvement drops
-    below `tol`.  A final state step makes the returned state an exact top
+    with one see-saw sweep of the settings.  A restart stops when a round
+    gains less than `tol` over the value before it, or after `max_rounds`
+    rounds.  A final state step makes the returned state an exact top
     eigenvector of the returned frame's operator.
     """
-    if p.n > cap:
-        raise ResourceLimitError(
-            f"spectral computation for n={p.n} exceeds the cap n <= {cap} "
-            f"(--spectral-cap)"
-        )
-    if restarts < 1:
-        raise InvalidArgumentError("restarts must be >= 1")
-    best: QuantumMaxResult | None = None
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(child)
+    _check_cap(p, cap)
+
+    def attempt(rng: np.random.Generator) -> QuantumMaxResult:
         vectors = _raw_random_vectors(p.n, rng)
-        ops = _ops_from_vectors(vectors)
-        matrix = _bell_matrix(p, ops)
-        value = -math.inf
-        for _ in range(max_rounds):
-            _, psi = _top_eigenpair(matrix)
-            swept, matrix = _settings_sweep(p, vectors, ops, _density(PureState(p.n, psi)), None)
-            if swept - value < tol:
-                break
-            value = swept
+        _, matrix = _ascend(p, vectors, lambda m: _projector(_top_eigenpair(m)[1]), tol, max_rounds)
         value, psi = _top_eigenpair(matrix)
-        state = PureState(p.n, psi)
-        if best is None or value > best.value:
-            best = QuantumMaxResult(value=value, frame=_vectors_to_frame(vectors), state=state)
-    assert best is not None
-    return best
+        return QuantumMaxResult(value, _vectors_to_frame(vectors), PureState(p.n, psi))
 
-
-def _partial_matrix(
-    matrix: np.ndarray,
-    n: int,
-    keep: tuple[int, ...],
-    other: tuple[int, ...],
-    phi_other: np.ndarray,
-) -> np.ndarray:
-    """<phi_other| M |phi_other> taken over `other`, leaving an operator on `keep`."""
-    letters = string.ascii_letters
-    rows, cols = letters[:n], letters[n : 2 * n]
-    tensor = matrix.reshape((2,) * (2 * n))
-    phi_t = phi_other.reshape((2,) * len(other))
-    sub = (
-        rows + cols
-        + ","
-        + "".join(rows[j] for j in other)
-        + ","
-        + "".join(cols[j] for j in other)
-        + "->"
-        + "".join(rows[j] for j in keep)
-        + "".join(cols[j] for j in keep)
-    )
-    out = np.einsum(sub, tensor, phi_t.conj(), phi_t, optimize=True)
-    dim = 1 << len(keep)
-    return out.reshape(dim, dim)
-
-
-def _embed_product(
-    phi_a: np.ndarray, a: tuple[int, ...], phi_b: np.ndarray, b: tuple[int, ...], n: int
-) -> np.ndarray:
-    letters = string.ascii_letters
-    sub = (
-        "".join(letters[j] for j in a)
-        + ","
-        + "".join(letters[j] for j in b)
-        + "->"
-        + letters[:n]
-    )
-    out = np.einsum(sub, phi_a.reshape((2,) * len(a)), phi_b.reshape((2,) * len(b)))
-    return out.reshape(-1)
+    return _best_restart(restarts, seed, attempt)
 
 
 def block_product_max(
@@ -635,48 +610,40 @@ def block_product_max(
     """Maximum over states constrained to a product across one bipartition.
 
     `block` lists the 0-based parties of block A; block B is the complement.
-    State steps diagonalize the effective operator of one block given the
-    other block's state, so the ascent stays inside the product-state family.
+    A state step takes block A's top eigenvector of the operator left by
+    block B's state, then block B's given the new A, so the ascent stays
+    inside the product-state family.  A restart stops when a round gains less
+    than `tol` over the value before it, or after `max_rounds` rounds.
     """
-    if p.n > cap:
-        raise ResourceLimitError(
-            f"spectral computation for n={p.n} exceeds the cap n <= {cap} "
-            f"(--spectral-cap)"
-        )
+    _check_cap(p, cap)
     a = tuple(sorted(block))
     if not a or any(not 0 <= j < p.n for j in a) or len(set(a)) != len(a):
         raise InvalidArgumentError(f"invalid block parties {block!r} for n={p.n}")
     b = tuple(j for j in range(p.n) if j not in a)
     if not b:
         raise InvalidArgumentError("block must be a proper subset of the parties")
-    if restarts < 1:
-        raise InvalidArgumentError("restarts must be >= 1")
-    best: BlockProductResult | None = None
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(child)
+    order = a + b  # block order: A's qubits, then B's
+    axes = order + tuple(p.n + j for j in order)
+    shape = (1 << len(a), 1 << len(b)) * 2
+
+    def attempt(rng: np.random.Generator) -> BlockProductResult:
         vectors = _raw_random_vectors(p.n, rng)
-        ops = _ops_from_vectors(vectors)
         phi_a = random_state(len(a), rng).amplitudes
         phi_b = random_state(len(b), rng).amplitudes
-        matrix = _bell_matrix(p, ops)
-        value = -math.inf
-        for _ in range(max_rounds):
-            _, phi_a = _top_eigenpair(_partial_matrix(matrix, p.n, a, b, phi_b))
-            _, phi_b = _top_eigenpair(_partial_matrix(matrix, p.n, b, a, phi_a))
-            psi = _embed_product(phi_a, a, phi_b, b, p.n)
-            swept, matrix = _settings_sweep(p, vectors, ops, _density(PureState(p.n, psi)), None)
-            if swept - value < tol:
-                value = swept
-                break
-            value = swept
-        if best is None or value > best.value:
-            best = BlockProductResult(
-                value=value,
-                frame=_vectors_to_frame(vectors),
-                block_states=(PureState(len(a), phi_a), PureState(len(b), phi_b)),
-            )
-    assert best is not None
-    return best
+
+        def product_step(matrix: np.ndarray) -> np.ndarray:
+            nonlocal phi_a, phi_b
+            m = matrix.reshape((2,) * (2 * p.n)).transpose(axes).reshape(shape)
+            _, phi_a = _top_eigenpair(np.einsum("b,ibjd,d->ij", phi_b.conj(), m, phi_b))
+            _, phi_b = _top_eigenpair(np.einsum("a,aicj,c->ij", phi_a.conj(), m, phi_a))
+            psi = np.kron(phi_a, phi_b).reshape((2,) * p.n).transpose(np.argsort(order))
+            return _projector(psi.reshape(-1))
+
+        value, _ = _ascend(p, vectors, product_step, tol, max_rounds)
+        blocks = (PureState(len(a), phi_a), PureState(len(b), phi_b))
+        return BlockProductResult(value, _vectors_to_frame(vectors), blocks)
+
+    return _best_restart(restarts, seed, attempt)
 
 
 # ---------------------------------------------------------------------------
@@ -722,17 +689,13 @@ def frame_from_text(text: str) -> MeasurementFrame:
         raise DataFormatError("empty frame file")
     if len(rows) != 2 * n:
         raise DataFormatError(f"frame for n={n} needs {2 * n} vector lines, got {len(rows)}")
-    pairs = []
-    for j in range(n):
-        pair = []
-        for s in (0, 1):
-            vec, lineno = rows[2 * j + s]
-            try:
-                pair.append(UnitVector(float(vec[0]), float(vec[1]), float(vec[2])))
-            except InvalidArgumentError as exc:
-                raise DataFormatError(str(exc), line=lineno) from exc
-        pairs.append(tuple(pair))
-    return MeasurementFrame(tuple(pairs))
+    vectors = []
+    for vec, lineno in rows:
+        try:
+            vectors.append(UnitVector(float(vec[0]), float(vec[1]), float(vec[2])))
+        except InvalidArgumentError as exc:
+            raise DataFormatError(str(exc), line=lineno) from exc
+    return MeasurementFrame(tuple(zip(vectors[::2], vectors[1::2])))
 
 
 def parse_state(spec: str) -> PureState:

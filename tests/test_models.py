@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellpoly import models as M
 from bellpoly import polynomial as P
@@ -77,6 +80,38 @@ class TestLocalBound:
         for term, coef in poly.terms.items():
             assert w[tuple(int(term.primed(j)) for j in range(poly.n))] == float(coef)
         assert np.count_nonzero(w) == len(poly.terms)
+
+
+def block_matrix_by_terms(p: Polynomial, a: tuple[int, ...], b: tuple[int, ...]) -> np.ndarray:
+    """Row from A's primed bits, column from B's, the block's first party lowest."""
+    c = np.zeros((1 << len(a), 1 << len(b)))
+    for term, coef in p.terms.items():
+        row = sum(int(term.primed(j)) << pos for pos, j in enumerate(a))
+        col = sum(int(term.primed(j)) << pos for pos, j in enumerate(b))
+        c[row, col] += float(coef)
+    return c
+
+
+class TestBlockCoefficientMatrix:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 7),
+        st.sampled_from(["random", "mk", "svetlichny"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_term_loop_on_every_split(self, n, kind, seed):
+        if kind == "random":
+            rng = np.random.default_rng(seed)
+            masks = rng.choice(1 << n, size=int(rng.integers(1, (1 << n) + 1)), replace=False)
+            coefs = [DyadicCoefficient(int(rng.integers(-7, 8)) or 1, 3) for _ in masks]
+            p = Polynomial(n, {Term(n, int(m)): c for m, c in zip(masks, coefs)})
+        else:
+            p = getattr(P, kind)(n)
+        for size in range(1, n):
+            for a in itertools.combinations(range(n), size):
+                b = tuple(j for j in range(n) if j not in a)
+                expected = block_matrix_by_terms(p, a, b)
+                assert np.array_equal(M._block_coefficient_matrix(p, a, b), expected), (a, b)
 
 
 class TestBipartitions:

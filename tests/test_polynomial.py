@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -56,6 +58,33 @@ class TestDyadic:
         assert QUARTER < HALF < 1 < DyadicCoefficient(3, 1)
         assert DyadicCoefficient(2) == 2
         assert DyadicCoefficient(2) == 2.0
+
+    def test_comparisons_exact_beyond_the_float_range(self):
+        tiny = P.from_text("+1/2^1100 * A1").terms[Term(1, 0)]
+        assert float(tiny) == 0.0
+        assert tiny > 0 and tiny >= 0.0 and not tiny <= 0 and tiny != 0
+        assert tiny < DyadicCoefficient(1, 1099) and -tiny < 0
+        huge = DyadicCoefficient(10**400)
+        assert huge > 1 and huge >= 1.5 and not huge < 1 and huge != 1
+        assert huge < float("inf") and huge > -float("inf") and huge != float("inf")
+
+    def test_hash_consistent_with_equal_numbers(self):
+        assert hash(DyadicCoefficient(3, 2)) == hash(0.75)
+        assert hash(DyadicCoefficient(7)) == hash(7)
+        assert hash(DyadicCoefficient(1, 1100)) == hash(Fraction(1, 2**1100))
+        assert {0.5: "half"}[HALF] == "half"
+
+    @given(
+        st.integers(-(10**30), 10**30),
+        st.integers(0, 1200),
+        st.one_of(st.integers(-(10**30), 10**30), st.floats()),
+    )
+    def test_ordering_and_hash_match_fractions(self, num, k, other):
+        d, f = DyadicCoefficient(num, k), Fraction(num, 2**k)
+        assert (d < other, d <= other, d == other, d >= other, d > other) == (
+            f < other, f <= other, f == other, f >= other, f > other
+        )
+        assert hash(d) == hash(f)
 
     def test_text_round_trip(self):
         for c in (HALF, QUARTER, DyadicCoefficient(-5, 3), DyadicCoefficient(7)):

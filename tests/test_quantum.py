@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -459,6 +460,56 @@ class TestBlockProductMax:
     def test_invalid_block(self):
         with pytest.raises(InvalidArgumentError):
             Q.block_product_max(P.mk(3), (0, 1, 2), restarts=1, seed=0)
+
+    @pytest.mark.parametrize("n,block", [(4, (0, 2)), (5, (1, 3)), (3, (1,))])
+    def test_non_contiguous_block_value_is_the_product_state_value(self, n, block):
+        p = P.mk(n)
+        result = Q.block_product_max(p, block, restarts=2, seed=4)
+        rest = tuple(j for j in range(n) if j not in block)
+        phi_a, phi_b = (s.amplitudes for s in result.block_states)
+        # axes in block order (A's parties, then B's), moved back to party order
+        psi = np.multiply.outer(phi_a, phi_b).reshape((2,) * n)
+        psi = psi.transpose(np.argsort(block + rest)).reshape(-1)
+        value = Q.expectation(Q.bell_operator(p, result.frame), PureState(n, psi))
+        assert result.value == pytest.approx(value, abs=1e-12)
+
+    def test_spectral_cap(self):
+        with pytest.raises(ResourceLimitError):
+            Q.block_product_max(P.mk(4), (0,), restarts=1, seed=0, cap=3)
+
+
+class TestSearchSkeleton:
+    @pytest.mark.parametrize(
+        "values,kept", [((1.0, 1.0 + 4e-16, 0.5), 0), ((1.0, 1.0 + 1e-9), 1)]
+    )
+    def test_a_later_restart_must_win_by_more_than_the_tie_margin(self, values, kept):
+        results = iter(SimpleNamespace(index=i, value=v) for i, v in enumerate(values))
+        best = Q._best_restart(len(values), 0, lambda rng: next(results))
+        assert best.index == kept
+
+    def test_each_restart_gets_its_own_seeded_generator(self):
+        draws = []
+
+        def attempt(rng):
+            draws.append(rng.random())
+            return SimpleNamespace(value=0.0)
+
+        Q._best_restart(3, 7, attempt)
+        again = [np.random.default_rng(c).random() for c in np.random.SeedSequence(7).spawn(3)]
+        assert draws == again and len(set(draws)) == 3
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda **kw: Q.seesaw(P.mk(2), Q.ghz(2), **kw),
+            lambda **kw: Q.quantum_max(P.mk(2), **kw),
+            lambda **kw: Q.block_product_max(P.mk(2), (0,), **kw),
+        ],
+        ids=["seesaw", "quantum_max", "block_product_max"],
+    )
+    def test_zero_restarts_rejected(self, search):
+        with pytest.raises(InvalidArgumentError):
+            search(restarts=0, seed=1)
 
 
 class TestCeilings:
