@@ -18,6 +18,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Union
 
+import numpy as np
+
 from .errors import DataFormatError, IncompleteDataError, InvalidArgumentError
 
 __all__ = [
@@ -167,7 +169,11 @@ class DyadicCoefficient:
         """A number with the sign of self - other; nan, failing every comparison, for a nan."""
         if isinstance(other, float) and not math.isfinite(other):
             return -other  # every dyadic is finite
-        return (self - other).numerator
+        o = self._coerce(other)
+        k = max(self.log2_denominator, o.log2_denominator)
+        return (self.numerator << (k - self.log2_denominator)) - (
+            o.numerator << (k - o.log2_denominator)
+        )
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DyadicCoefficient):
@@ -205,8 +211,6 @@ class DyadicCoefficient:
 DyadicLike = Union[DyadicCoefficient, int, float]
 
 ZERO = DyadicCoefficient(0)
-ONE = DyadicCoefficient(1)
-HALF = DyadicCoefficient(1, 1)
 
 
 @dataclass(frozen=True)
@@ -278,37 +282,41 @@ class CorrelationVector:
 # ---------------------------------------------------------------------------
 
 
+def _mk_numerators(n: int) -> np.ndarray:
+    """mk(n)'s coefficients times 2**(n-1), indexed by prime mask (int64).
+
+    Magnitudes stay <= 2**(n-1), so int64 is exact.  M' of the odd forms is
+    the reversed array for the same reason as in mk's step.
+    """
+    c = np.array([1, 0], dtype=np.int64)
+    for _ in range(n - 1):
+        c = np.concatenate((c + c[::-1], c - c[::-1]))
+    return c
+
+
+def _from_numerators(n: int, numerators: np.ndarray, log2_denominator: int) -> Polynomial:
+    """The polynomial with coefficient numerators[mask] / 2**log2_denominator."""
+    masks = np.flatnonzero(numerators)
+    values = numerators[masks].tolist()
+    # one immutable coefficient object per distinct value
+    coefs = {v: DyadicCoefficient(v, log2_denominator) for v in set(values)}
+    return _build(n, {m: coefs[v] for m, v in zip(masks.tolist(), values)})
+
+
 @lru_cache(maxsize=None)
 def mk(n: int) -> Polynomial:
     """The n-party MK polynomial, built bottom-up from M1 = a1.
 
     Each extension step sends M to (1/2) M (a + a') + (1/2) M' (a - a') where
     a, a' are the new party's settings and M' swaps primed and unprimed
-    settings everywhere.
+    settings everywhere.  For m parties M' maps a prime mask to its
+    complement in [0, 2**m), which reverses the mask-indexed array, so on the
+    integer numerators c (denominator 2**(m-1)) the step is
+    concat(c + c[::-1], c - c[::-1]), starting from [1, 0] at m = 1.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidArgumentError(f"mk requires a party count >= 1, got {n!r}")
-    coeffs: dict[int, DyadicCoefficient] = {0: ONE}
-    for m in range(2, n + 1):
-        flip = (1 << (m - 1)) - 1
-        top = 1 << (m - 1)
-        nxt: dict[int, DyadicCoefficient] = {}
-        for mask, c in coeffs.items():
-            c2 = c * HALF
-            fmask = mask ^ flip
-            for target, delta in (
-                (mask, c2),
-                (mask | top, c2),
-                (fmask, c2),
-                (fmask | top, -c2),
-            ):
-                acc = nxt.get(target, ZERO) + delta
-                if acc.numerator == 0:
-                    nxt.pop(target, None)
-                else:
-                    nxt[target] = acc
-        coeffs = nxt
-    return _build(n, coeffs)
+    return _from_numerators(n, _mk_numerators(n), n - 1)
 
 
 def prime_flip(p: Polynomial) -> Polynomial:
@@ -321,10 +329,10 @@ def svetlichny(n: int) -> Polynomial:
     """The n-party Svetlichny polynomial: mk(n) for even n, else (mk + mk')/2."""
     if not isinstance(n, int) or n < 2:
         raise InvalidArgumentError(f"svetlichny requires a party count >= 2, got {n!r}")
-    base = mk(n)
     if n % 2 == 0:
-        return base
-    return combine(base, prime_flip(base), HALF, HALF)
+        return mk(n)
+    num = _mk_numerators(n)
+    return _from_numerators(n, num + num[::-1], n)
 
 
 def svetlichny_minus(n: int) -> Polynomial:
@@ -333,8 +341,8 @@ def svetlichny_minus(n: int) -> Polynomial:
         raise InvalidArgumentError(
             f"svetlichny_minus requires an odd party count >= 3, got {n!r}"
         )
-    base = mk(n)
-    return combine(base, prime_flip(base), HALF, -HALF)
+    num = _mk_numerators(n)
+    return _from_numerators(n, num - num[::-1], n)
 
 
 def combine(

@@ -10,13 +10,54 @@ from hypothesis import given, settings, strategies as st
 
 from bellpoly import models as M
 from bellpoly import polynomial as P
-from bellpoly.errors import DataFormatError, InvalidArgumentError, ResourceLimitError
+from bellpoly.errors import (
+    DataFormatError,
+    InvalidArgumentError,
+    NumericalIntegrityError,
+    ResourceLimitError,
+)
 from bellpoly.models import Bipartition, BlockStrategy, LocalStrategy
 from bellpoly.polynomial import DyadicCoefficient, Polynomial, Term
 
 
 def single_term(n: int, mask: int) -> Polynomial:
     return Polynomial(n, {Term(n, mask): DyadicCoefficient(1)})
+
+
+def exact_value(p: Polynomial, sign_of_mask) -> DyadicCoefficient:
+    """Sum of coefficient * sign over p's terms in dyadic arithmetic."""
+    total = DyadicCoefficient(0)
+    for term, coef in p.terms.items():
+        total = total + coef * sign_of_mask(term.prime_mask)
+    return total
+
+
+def local_sign(strategy: LocalStrategy):
+    def sign(mask):
+        out = 1
+        for j, pair in enumerate(strategy.settings):
+            out *= pair[(mask >> j) & 1]
+        return out
+
+    return sign
+
+
+def hybrid_sign(witness: M.HybridWitness):
+    return lambda mask: witness.block_a.product_for(mask) * witness.block_b.product_for(mask)
+
+
+def random_dyadic(n: int, rng: np.random.Generator) -> Polynomial:
+    """A random support with small numerators, so ties and zero effective entries are common."""
+    masks = rng.choice(1 << n, size=int(rng.integers(1, (1 << n) + 1)), replace=False)
+    return Polynomial(
+        n,
+        {
+            Term(n, int(m)): DyadicCoefficient(
+                int(rng.integers(-3, 4)) or 1, int(rng.integers(0, 4))
+            )
+            for m in masks
+        },
+    )
 
 
 ALL_PLUS_3 = LocalStrategy(((1, 1), (1, 1), (1, 1)))
@@ -107,11 +148,102 @@ class TestBlockCoefficientMatrix:
             p = Polynomial(n, {Term(n, int(m)): c for m, c in zip(masks, coefs)})
         else:
             p = getattr(P, kind)(n)
+        tensor, k = M._scaled_tensor(p)
         for size in range(1, n):
             for a in itertools.combinations(range(n), size):
                 b = tuple(j for j in range(n) if j not in a)
-                expected = block_matrix_by_terms(p, a, b)
-                assert np.array_equal(M._block_coefficient_matrix(p, a, b), expected), (a, b)
+                expected = block_matrix_by_terms(p, a, b) * 2**k
+                assert np.array_equal(M._block_coefficient_matrix(tensor, a, b), expected), (a, b)
+
+
+def ones_with_tiny_corner(n: int, log2: int) -> Polynomial:
+    """Every term +1 except all-primed at -2^-log2.
+
+    The term products of any local or two-block strategy cannot have exactly
+    one -1, so every bound is 2^n - 1 - 2^-log2, which no float holds.
+    """
+    full = (1 << n) - 1
+    terms = {Term(n, m): DyadicCoefficient(1) for m in range(full)}
+    terms[Term(n, full)] = DyadicCoefficient(-1, log2)
+    return Polynomial(n, terms)
+
+
+class TestExactBounds:
+    def test_chsh_text_form(self):
+        text = "+1/2^0 * A1 A2\n+1/2^0 * A1 A2'\n+1/2^0 * A1' A2\n-1/2^60 * A1' A2'"
+        result = M.local_bound(P.from_text(text))
+        assert str(result.value_exact) == "3458764513820540927/2^60"
+        assert result.value == 3.0
+
+    # (3, 61): each scaled coefficient fits int64 but their sum 7 * 2^61 does not
+    @pytest.mark.parametrize("n, log2, dtype", [(2, 60, np.int64), (2, 70, object), (3, 61, object)])
+    def test_wide_range_coefficients_stay_exact(self, n, log2, dtype):
+        p = ones_with_tiny_corner(n, log2)
+        assert M._scaled_tensor(p)[0].dtype == dtype
+        expected = DyadicCoefficient((((1 << n) - 1) << log2) - 1, log2)
+        local = M.local_bound(p)
+        assert local.value_exact == expected
+        assert exact_value(p, local_sign(local.witness)) == expected
+        assert local.value == float(expected)
+        for partition in M.bipartitions(n):
+            for result in (M.hybrid_bound(p, partition), M.brute_hybrid_bound(p, partition)):
+                assert result.value_exact == expected
+                assert exact_value(p, hybrid_sign(result.witness)) == expected
+                assert result.value == float(expected)
+        assert M.hybrid_bound_all(p).overall.value_exact == expected
+
+    def test_object_dtype_gives_the_int64_results(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        polys = [random_dyadic(int(rng.integers(2, 6)), rng) for _ in range(8)]
+        polys.append(P.svetlichny(6))
+
+        def bounds():
+            return [
+                (M.local_bound(p).as_dict(), [r.as_dict() for _, r in M.hybrid_bound_all(p)])
+                for p in polys
+            ]
+
+        expected = bounds()
+        real = M._scaled_tensor
+
+        def as_objects(p):
+            tensor, k = real(p)
+            return tensor.astype(object), k
+
+        monkeypatch.setattr(M, "_scaled_tensor", as_objects)
+        assert bounds() == expected
+
+    def test_corrupted_doubling_table_raises(self, monkeypatch):
+        real = M._doubling_table
+        monkeypatch.setattr(M, "_doubling_table", lambda first, rows: real(first, rows) + 1)
+        with pytest.raises(NumericalIntegrityError):
+            M.hybrid_bound(P.mk(3), M.bipartitions(3)[0])
+        with pytest.raises(NumericalIntegrityError):
+            M.hybrid_bound_all(P.svetlichny(4))
+
+    def test_corrupted_doubling_table_exits_5(self, monkeypatch, cli_runner):
+        real = M._doubling_table
+        monkeypatch.setattr(M, "_doubling_table", lambda first, rows: real(first, rows) + 1)
+        result = cli_runner("bounds", "mk", "3", "--models", "hybrid")
+        assert result.code == 5
+
+    def test_chunked_scan_matches_single_chunk(self, monkeypatch):
+        p = P.svetlichny(6)
+        whole = [r.as_dict() for _, r in M.hybrid_bound_all(p)]
+        monkeypatch.setattr(M, "_CHUNK_LOG2", 4)
+        assert [r.as_dict() for _, r in M.hybrid_bound_all(p)] == whole
+
+
+class TestHybridWitnessIdentity:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_fast_scan_returns_the_oracle_witness(self, n, seed):
+        p = random_dyadic(n, np.random.default_rng(seed))
+        for partition in M.bipartitions(n):
+            fast = M.hybrid_bound(p, partition)
+            brute = M.brute_hybrid_bound(p, partition, max_settings=16)
+            assert fast.value_exact == brute.value_exact
+            assert fast.witness.as_dict() == brute.witness.as_dict()
 
 
 class TestBipartitions:

@@ -120,6 +120,22 @@ class TestMk:
         with pytest.raises(InvalidArgumentError):
             P.mk(0)
 
+    def test_recurrence_matches_the_dyadic_algebra(self):
+        # M_m = (1/2) M_{m-1} (a + a') + (1/2) M'_{m-1} (a - a'), and the odd
+        # Svetlichny forms (M +- M')/2, through combine/tensor_product/prime_flip
+        plus = poly_of(1, {0: DyadicCoefficient(1), 1: DyadicCoefficient(1)})
+        minus = poly_of(1, {0: DyadicCoefficient(1), 1: DyadicCoefficient(-1)})
+        m = P.mk(1)
+        for n in range(2, 12):
+            m = P.combine(
+                P.tensor_product(m, plus), P.tensor_product(P.prime_flip(m), minus), HALF, HALF
+            )
+            assert P.mk(n) == m, n
+            if n % 2:
+                flipped = P.prime_flip(m)
+                assert P.svetlichny(n) == P.combine(m, flipped, HALF, HALF), n
+                assert P.svetlichny_minus(n) == P.combine(m, flipped, HALF, -HALF), n
+
 
 class TestPrimeFlip:
     def test_single_party(self):
