@@ -411,6 +411,10 @@ def table1(
     restarts: int = quantum.DEFAULT_RESTARTS,
     seed: int,
     tolerance: float = QUANTUM_CHECK_TOL,
+    local_cap: int = models.DEFAULT_LOCAL_CAP,
+    spectral_cap: int = quantum.DEFAULT_SPECTRAL_CAP,
+    seesaw_tol: float = quantum.DEFAULT_SEESAW_TOL,
+    max_sweeps: int = quantum.DEFAULT_MAX_SWEEPS,
     _corrupt_cell: str | None = None,
 ) -> Table1Report:
     """Recompute the three-party reference table and check every cell.
@@ -419,29 +423,33 @@ def table1(
     closed forms bit-exactly; quantum cells come from see-saw ascent (full or
     block-product constrained) and must match within `tolerance`.  Any mismatch
     raises NumericalIntegrityError naming the offending cell; this is the
-    package's flagship self-test.
+    package's flagship self-test.  `local_cap` is the local enumeration's
+    `cap`; `spectral_cap`, `seesaw_tol` and `max_sweeps` are the searches'
+    `cap`, `tol` and `max_rounds`.  No hybrid block cap applies: every
+    three-party split has a one-party block.
 
     `_corrupt_cell` ("ROW:COLUMN") deliberately corrupts one stored value so
     the failure path itself can be exercised.
     """
     m3 = polynomial.mk(3)
     s3 = polynomial.svetlichny(3)
+    search = dict(restarts=restarts, cap=spectral_cap, tol=seesaw_tol, max_rounds=max_sweeps)
     recomputed: dict[str, dict[str, float]] = {"M3": {}, "S3": {}}
     for row, poly in (("M3", m3), ("S3", s3)):
-        recomputed[row]["local"] = models.local_bound(poly).value
+        recomputed[row]["local"] = models.local_bound(poly, cap=local_cap).value
         recomputed[row]["hybrid_split"] = models.hybrid_bound_all(poly).overall.value
         recomputed[row]["algebraic"] = float(polynomial.algebraic_limit(poly))
     offsets = {"M3": 0, "S3": 1}
     for row, poly in (("M3", m3), ("S3", s3)):
         recomputed[row]["quantum_depth_3"] = quantum.quantum_max(
-            poly, restarts=restarts, seed=seed + offsets[row]
+            poly, seed=seed + offsets[row], **search
         ).value
         recomputed[row]["quantum_depth_2"] = max(
             quantum.block_product_max(
                 poly,
                 partition.block_a_parties,
-                restarts=restarts,
                 seed=seed + 2 + 3 * offsets[row] + shift,
+                **search,
             ).value
             for shift, partition in enumerate(models.bipartitions(3))
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 from . import classify, models, polynomial, quantum
@@ -35,25 +35,59 @@ EXIT_RESOURCE = 3
 EXIT_DATA = 4
 EXIT_INTEGRITY = 5
 
+_EXIT_CODES = {
+    InvalidArgumentError: EXIT_USAGE,
+    NotTabulatedError: EXIT_USAGE,
+    ResourceLimitError: EXIT_RESOURCE,
+    DataFormatError: EXIT_DATA,
+    IncompleteDataError: EXIT_DATA,
+    InconsistentInputError: EXIT_DATA,
+    NumericalIntegrityError: EXIT_INTEGRITY,
+}
+
 _KINDS = ("mk", "mk-prime", "svetlichny", "svetlichny-minus")
+_FORMATS = ("text", "structured")
+
+
+def _setting(default, help: str, **flag):
+    """A RunConfig field: its default, and the help and extra argparse options of its flag."""
+    return field(default=default, metadata={"help": help, **flag})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every tunable default in one place; print with --show-config."""
+    """Every tunable default in one place; print with --show-config.
 
-    seed: int = DEFAULT_SEED
-    restarts: int = 16
-    output_format: str = "text"
-    local_cap: int = models.DEFAULT_LOCAL_CAP
-    hybrid_block_cap: int = models.DEFAULT_HYBRID_BLOCK_CAP
-    spectral_cap: int = quantum.DEFAULT_SPECTRAL_CAP
-    seesaw_tol: float = quantum.DEFAULT_SEESAW_TOL
-    seesaw_max_sweeps: int = quantum.DEFAULT_MAX_SWEEPS
-    verify_tol: float = classify.QUANTUM_CHECK_TOL
-    verdict_tol: float = classify.VERDICT_TOL
+    Each field is one global flag, `--` plus the field name with dashes
+    (`--format` for output_format), and declares its default and help text
+    here only.
+    """
+
+    seed: int = _setting(DEFAULT_SEED, "seed for all randomized searches (default 0x5EED)")
+    restarts: int = _setting(16, "random restarts for see-saw searches (default 16)")
+    output_format: str = _setting(
+        "text", "output format (structured = one JSON document)",
+        flag="--format", choices=_FORMATS,
+    )
+    local_cap: int = _setting(
+        models.DEFAULT_LOCAL_CAP, "max n for the 4^n local-script enumeration"
+    )
+    hybrid_block_cap: int = _setting(
+        models.DEFAULT_HYBRID_BLOCK_CAP, "max size of the enumerated hybrid block"
+    )
+    spectral_cap: int = _setting(
+        quantum.DEFAULT_SPECTRAL_CAP, "max qubit count for dense spectral computations"
+    )
+    seesaw_tol: float = _setting(quantum.DEFAULT_SEESAW_TOL, "see-saw convergence threshold")
+    seesaw_max_sweeps: int = _setting(quantum.DEFAULT_MAX_SWEEPS, "see-saw sweep limit")
+    verify_tol: float = _setting(
+        classify.QUANTUM_CHECK_TOL, "tolerance for quantum cells in table checks"
+    )
+    verdict_tol: float = _setting(classify.VERDICT_TOL, "strict-inequality guard for verdicts")
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be non-negative, got {self.seed}")
         for name in ("restarts", "local_cap", "hybrid_block_cap", "spectral_cap",
                      "seesaw_max_sweeps"):
             if getattr(self, name) < 1:
@@ -62,7 +96,7 @@ class RunConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1e-2:
                 raise InvalidArgumentError(f"{name} must lie in (0, 1e-2), got {value}")
-        if self.output_format not in ("text", "structured"):
+        if self.output_format not in _FORMATS:
             raise InvalidArgumentError(f"unknown output format {self.output_format!r}")
 
 
@@ -85,24 +119,9 @@ def parse_correlation_text(text: str) -> CorrelationVector:
     party 1, with 1 marking the primed setting.  Duplicate settings are an
     error; values must lie in [-1, 1].
     """
-    n: int | None = None
+    n, lines = polynomial._counted_lines(text, "correlation file")
     values: dict[Term, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if n is None:
-            if not line.startswith("n="):
-                raise DataFormatError(
-                    "correlation file must start with an n=<count> header", line=lineno
-                )
-            try:
-                n = int(line[2:])
-            except ValueError as exc:
-                raise DataFormatError(f"bad header {line!r}", line=lineno) from exc
-            if n < 1:
-                raise DataFormatError("party count must be >= 1", line=lineno)
-            continue
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) != 2:
             raise DataFormatError(f"expected `<settings> <value>`, got {line!r}", line=lineno)
@@ -111,11 +130,7 @@ def parse_correlation_text(text: str) -> CorrelationVector:
             raise DataFormatError(
                 f"settings must be {n} characters over 0/1, got {settings!r}", line=lineno
             )
-        mask = 0
-        for i, ch in enumerate(settings):
-            if ch == "1":
-                mask |= 1 << i
-        term = Term(n, mask)
+        term = Term(n, int(settings[::-1], 2))
         if term in values:
             raise DataFormatError(f"duplicate settings {settings!r}", line=lineno)
         try:
@@ -127,17 +142,7 @@ def parse_correlation_text(text: str) -> CorrelationVector:
                 f"correlation value {value} outside [-1, 1]", line=lineno
             )
         values[term] = value
-    if n is None:
-        raise DataFormatError("empty correlation file")
     return CorrelationVector(n, values)
-
-
-def _read_file(path: str, what: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -195,34 +200,27 @@ def cmd_bounds(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str]:
             result = models.hybrid_bound(
                 poly, partition, max_block_size=config.hybrid_block_cap
             )
-            doc["results"]["hybrid"] = {
-                "per_partition": [
-                    {"partition": partition.to_text(), **result.as_dict()}
-                ],
-                "max": result.as_dict(),
-            }
+            scan, overall = [(partition, result)], result
             lines.append(
                 f"hybrid bound ({partition.to_text()}): {result.value:g} "
                 f"({result.value_exact})"
             )
         else:
-            scan = models.hybrid_bound_all(poly, max_block_size=config.hybrid_block_cap)
-            doc["results"]["hybrid"] = {
-                "per_partition": [
-                    {"partition": partition.to_text(), **result.as_dict()}
-                    for partition, result in scan
-                ],
-                "max": scan.overall.as_dict(),
-            }
+            full = models.hybrid_bound_all(poly, max_block_size=config.hybrid_block_cap)
+            scan, overall = full.results, full.overall
             lines.append("hybrid bounds:")
-            for partition, result in scan:
-                lines.append(
-                    f"  {partition.to_text()}: {result.value:g} ({result.value_exact})"
-                )
-            lines.append(
-                f"  max: {scan.overall.value:g} "
-                f"({scan.overall.witness.partition.to_text()})"
+            lines.extend(
+                f"  {partition.to_text()}: {result.value:g} ({result.value_exact})"
+                for partition, result in scan
             )
+            lines.append(f"  max: {overall.value:g} ({overall.witness.partition.to_text()})")
+        doc["results"]["hybrid"] = {
+            "per_partition": [
+                {"partition": partition.to_text(), **result.as_dict()}
+                for partition, result in scan
+            ],
+            "max": overall.as_dict(),
+        }
     if "algebraic" in wanted:
         limit = polynomial.algebraic_limit(poly)
         doc["results"]["algebraic"] = {
@@ -251,6 +249,7 @@ def cmd_qmax(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str]:
         "seed": config.seed,
         "restarts": config.restarts,
     }
+    quantum._check_cap(poly, config.spectral_cap)
     if args.state is not None:
         state = quantum.parse_state(args.state)
         if state.n != poly.n:
@@ -290,8 +289,6 @@ def cmd_qmax(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str]:
 
 def cmd_classify(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str]:
     kind, n_text = args.poly
-    if kind not in _KINDS:
-        raise InvalidArgumentError(f"unknown polynomial kind {kind!r}")
     try:
         n = int(n_text)
     except ValueError as exc:
@@ -311,7 +308,9 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str
         value = args.value
         source = {"type": "value"}
     elif args.correlations is not None:
-        correlations = parse_correlation_text(_read_file(args.correlations, "correlation file"))
+        correlations = parse_correlation_text(
+            polynomial._read_file(args.correlations, "correlation file")
+        )
         if correlations.n != poly.n:
             raise DataFormatError(
                 f"correlation file is for {correlations.n} parties, polynomial has {poly.n}"
@@ -321,8 +320,9 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str
     else:
         if args.state is None or args.frame is None:
             raise InvalidArgumentError("--state and --frame must be given together")
+        quantum._check_cap(poly, config.spectral_cap)
         state = quantum.parse_state(args.state)
-        frame = quantum.frame_from_text(_read_file(args.frame, "frame file"))
+        frame = quantum.frame_from_text(polynomial._read_file(args.frame, "frame file"))
         if state.n != poly.n or frame.n != poly.n:
             raise InvalidArgumentError(
                 f"polynomial has {poly.n} parties, state has {state.n}, frame has {frame.n}"
@@ -370,6 +370,10 @@ def cmd_table1(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str]:
         restarts=config.restarts,
         seed=config.seed,
         tolerance=config.verify_tol,
+        local_cap=config.local_cap,
+        spectral_cap=config.spectral_cap,
+        seesaw_tol=config.seesaw_tol,
+        max_sweeps=config.seesaw_max_sweeps,
         _corrupt_cell=args.inject_mismatch,
     )
     doc = {
@@ -394,29 +398,17 @@ def build_parser() -> argparse.ArgumentParser:
             "separable-model bounds, quantum maxima, and classification."
         ),
     )
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for all randomized searches (default 0x5EED)")
-    parser.add_argument("--restarts", type=int, default=16,
-                        help="random restarts for see-saw searches (default 16)")
-    parser.add_argument("--format", choices=("text", "structured"), default="text",
-                        help="output format (structured = one JSON document)")
+    for setting in fields(RunConfig):
+        parser.add_argument(
+            setting.metadata.get("flag", "--" + setting.name.replace("_", "-")),
+            dest=setting.name,
+            type=type(setting.default),
+            default=setting.default,
+            help=setting.metadata["help"],
+            choices=setting.metadata.get("choices"),
+        )
     parser.add_argument("--show-config", action="store_true",
                         help="print the effective configuration and exit")
-    parser.add_argument("--local-cap", type=int, default=models.DEFAULT_LOCAL_CAP,
-                        help="max n for the 4^n local-script enumeration")
-    parser.add_argument("--hybrid-block-cap", type=int,
-                        default=models.DEFAULT_HYBRID_BLOCK_CAP,
-                        help="max size of the enumerated hybrid block")
-    parser.add_argument("--spectral-cap", type=int, default=quantum.DEFAULT_SPECTRAL_CAP,
-                        help="max qubit count for dense spectral computations")
-    parser.add_argument("--seesaw-tol", type=float, default=quantum.DEFAULT_SEESAW_TOL,
-                        help="see-saw convergence threshold")
-    parser.add_argument("--seesaw-max-sweeps", type=int, default=quantum.DEFAULT_MAX_SWEEPS,
-                        help="see-saw sweep limit")
-    parser.add_argument("--verify-tol", type=float, default=classify.QUANTUM_CHECK_TOL,
-                        help="tolerance for quantum cells in table checks")
-    parser.add_argument("--verdict-tol", type=float, default=classify.VERDICT_TOL,
-                        help="strict-inequality guard for verdicts")
 
     sub = parser.add_subparsers(dest="command")
 
@@ -474,43 +466,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            seed=args.seed,
-            restarts=args.restarts,
-            output_format=args.format,
-            local_cap=args.local_cap,
-            hybrid_block_cap=args.hybrid_block_cap,
-            spectral_cap=args.spectral_cap,
-            seesaw_tol=args.seesaw_tol,
-            seesaw_max_sweeps=args.seesaw_max_sweeps,
-            verify_tol=args.verify_tol,
-            verdict_tol=args.verdict_tol,
-        )
+        config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
         if args.show_config:
-            if args.format == "structured":
-                print(json.dumps(
-                    {"schema_version": SCHEMA_VERSION, "config": asdict(config)},
-                    sort_keys=True, indent=2,
-                ))
-            else:
-                for key, value in asdict(config).items():
-                    print(f"{key} = {value}")
+            settings = asdict(config)
+            text = "\n".join(f"{key} = {value}" for key, value in settings.items())
+            _emit({"config": settings}, text, config)
             return EXIT_OK
         if args.command is None:
             parser.error("a command is required (poly, bounds, qmax, classify, table1)")
         doc, text = _COMMANDS[args.command](args, config)
-    except (InvalidArgumentError, NotTabulatedError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (DataFormatError, IncompleteDataError, InconsistentInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalIntegrityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRITY
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
     _emit(doc, text, config)
     return EXIT_OK
 

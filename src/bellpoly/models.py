@@ -17,7 +17,9 @@ denominator 2**K (K the largest log2 denominator), so every objective value
 is an exact integer sum and a bound is that integer over 2**K.  The arrays
 are int64 while the coefficients' absolute sum stays below 2**62, which no
 signed partial sum can then exceed, and Python ints (object dtype) beyond.
-Every returned witness is re-summed by a second integer contraction.
+Every returned witness is re-summed by a second integer contraction, the
+same one through which evaluate_local and evaluate_hybrid compute a value,
+so a witness evaluates to exactly its bound.
 """
 
 from __future__ import annotations
@@ -88,9 +90,6 @@ class LocalStrategy:
     @property
     def n(self) -> int:
         return len(self.settings)
-
-    def value(self, party: int, primed: bool) -> int:
-        return self.settings[party][1 if primed else 0]
 
     def as_dict(self) -> dict:
         return {"type": "local", "settings": [list(pair) for pair in self.settings]}
@@ -248,16 +247,11 @@ def _extract_bits(mask: int, parties: tuple[int, ...]) -> int:
 
 
 def evaluate_local(p: Polynomial, s: LocalStrategy) -> float:
-    """Value of p under one deterministic script."""
+    """Value of p under one deterministic script, rounded once from the exact sum."""
     if s.n != p.n:
         raise InvalidArgumentError(f"strategy has {s.n} parties, polynomial has {p.n}")
-    total = 0.0
-    for term, coef in p.terms.items():
-        prod = 1
-        for j in range(p.n):
-            prod *= s.value(j, term.primed(j))
-        total += float(coef) * prod
-    return total
+    tensor, k = _scaled_tensor(p)
+    return float(DyadicCoefficient(_local_sum(tensor, s.settings), k))
 
 
 def _flat_index(p: Polynomial) -> np.ndarray:
@@ -288,6 +282,14 @@ def _scaled_tensor(p: Polynomial) -> tuple[np.ndarray, int]:
     return w.reshape((2,) * p.n), k
 
 
+def _local_sum(tensor: np.ndarray, settings) -> int:
+    """The scaled polynomial's integer value under one script, per party its (a, a')."""
+    total = tensor.reshape(-1)
+    for pair in np.asarray(settings, dtype=np.int64):
+        total = pair @ total.reshape(2, -1)
+    return int(total[0])
+
+
 def local_bound(p: Polynomial, *, cap: int = DEFAULT_LOCAL_CAP) -> BoundResult:
     """Maximum of evaluate_local over all 4**n scripts, with a maximizing witness.
 
@@ -309,20 +311,16 @@ def local_bound(p: Polynomial, *, cap: int = DEFAULT_LOCAL_CAP) -> BoundResult:
         flat = (flat.reshape(2, -1).T @ _CHOICES.T).reshape(-1)
     best = int(np.argmax(flat))
     digits = [(best >> (2 * (p.n - 1 - j))) & 3 for j in range(p.n)]
-    resummed = tensor.reshape(-1)
-    for c in digits:
-        resummed = _CHOICES[c] @ resummed.reshape(2, -1)
-    if int(resummed[0]) != flat[best]:
+    witness = LocalStrategy(tuple((int(a), int(b)) for a, b in _CHOICES[digits]))
+    resummed = _local_sum(tensor, witness.settings)
+    if resummed != flat[best]:
         raise NumericalIntegrityError(
             f"local bound: the enumeration found {flat[best]} but its witness "
-            f"re-sums to {resummed[0]}"
+            f"re-sums to {resummed}"
         )
-    value_exact = DyadicCoefficient(int(flat[best]), k)
+    value_exact = DyadicCoefficient(resummed, k)
     return BoundResult(
-        model="local",
-        value=float(value_exact),
-        value_exact=value_exact,
-        witness=LocalStrategy(tuple((int(a), int(b)) for a, b in _CHOICES[digits])),
+        model="local", value=float(value_exact), value_exact=value_exact, witness=witness
     )
 
 
@@ -423,6 +421,12 @@ def hybrid_bound(
     return _hybrid_bound(_scaled_tensor(p), partition)
 
 
+def _hybrid_sum(tensor: np.ndarray, block_a: BlockStrategy, block_b: BlockStrategy) -> int:
+    """The scaled polynomial's integer value under one pair of block strategies."""
+    coef = _block_coefficient_matrix(tensor, block_a.parties, block_b.parties)
+    return int(np.array(block_a.products) @ coef @ np.array(block_b.products))
+
+
 def _hybrid_bound(scaled: tuple[np.ndarray, int], partition: Bipartition) -> BoundResult:
     """hybrid_bound on the polynomial's _scaled_tensor, which hybrid_bound_all builds once."""
     a = partition.block_a_parties
@@ -440,18 +444,18 @@ def _hybrid_bound(scaled: tuple[np.ndarray, int], partition: Bipartition) -> Bou
     num_tuples = coef.shape[0]
     row_a = 1 - 2 * ((best_index >> np.arange(num_tuples - 1, -1, -1)) & 1)
     col_b = np.where(best_effective >= 0, 1, -1)
-    resummed = int(row_a @ coef @ col_b)
+    witness = HybridWitness(
+        partition=partition,
+        block_a=BlockStrategy(a, tuple(row_a.tolist())),
+        block_b=BlockStrategy(b, tuple(col_b.tolist())),
+    )
+    resummed = _hybrid_sum(tensor, witness.block_a, witness.block_b)
     if resummed != best:
         raise NumericalIntegrityError(
             f"hybrid bound {partition.to_text()}: the scan found {best} but its "
             f"witness re-sums to {resummed}"
         )
     value_exact = DyadicCoefficient(best, k)
-    witness = HybridWitness(
-        partition=partition,
-        block_a=BlockStrategy(a, tuple(row_a.tolist())),
-        block_b=BlockStrategy(b, tuple(col_b.tolist())),
-    )
     return BoundResult(
         model="hybrid", value=float(value_exact), value_exact=value_exact, witness=witness
     )
@@ -495,20 +499,14 @@ def brute_hybrid_bound(
 def evaluate_hybrid(
     p: Polynomial, partition: Bipartition, block_a: BlockStrategy, block_b: BlockStrategy
 ) -> float:
-    """Value of p under one explicit pair of block strategies."""
+    """Value of p under one pair of block strategies, rounded once from the exact sum."""
     _check_partition(p, partition)
     if block_a.parties != partition.block_a_parties:
         raise InvalidArgumentError("block A strategy does not match the bipartition")
     if block_b.parties != partition.block_b_parties:
         raise InvalidArgumentError("block B strategy does not match the bipartition")
-    total = 0.0
-    for term, coef in p.terms.items():
-        total += (
-            float(coef)
-            * block_a.product_for(term.prime_mask)
-            * block_b.product_for(term.prime_mask)
-        )
-    return total
+    tensor, k = _scaled_tensor(p)
+    return float(DyadicCoefficient(_hybrid_sum(tensor, block_a, block_b), k))
 
 
 @dataclass(frozen=True)

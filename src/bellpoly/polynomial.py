@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 import numpy as np
 
@@ -433,10 +433,7 @@ def from_text(text: str, n: int | None = None) -> Polynomial:
     """Parse the canonical text form; blank lines and `#` comments are skipped."""
     masks: dict[int, DyadicCoefficient] = {}
     seen_n = n
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _numbered_lines(text):
         m = _TERM_LINE_RE.match(line)
         if m is None:
             raise DataFormatError(f"not a polynomial term: {line!r}", line=lineno)
@@ -479,6 +476,51 @@ def from_text(text: str, n: int | None = None) -> Polynomial:
 
 def token_label(n: int, mask: int) -> str:
     return Term(n, mask).label()
+
+
+# ---------------------------------------------------------------------------
+# Text input shared by every line-based format
+# ---------------------------------------------------------------------------
+
+
+def _numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped line) of every line not blank or a `#` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _counted_lines(
+    text: str, what: str, label: str = ""
+) -> tuple[int, Iterator[tuple[int, str]]]:
+    """The party count of an `n=<count>` header, and the numbered lines after it.
+
+    `what` names the input in errors ("frame file"); `label` prefixes the
+    header and count complaints ("frame ").
+    """
+    lines = _numbered_lines(text)
+    lineno, line = next(lines, (None, None))
+    if line is None:
+        raise DataFormatError(f"empty {what}")
+    if not line.startswith("n="):
+        raise DataFormatError(f"{what} must start with an n=<count> header", line=lineno)
+    try:
+        n = int(line[2:])
+    except ValueError as exc:
+        raise DataFormatError(f"bad {label}header {line!r}", line=lineno) from exc
+    if n < 1:
+        raise DataFormatError(f"{label}party count must be >= 1", line=lineno)
+    return n, lines
+
+
+def _read_file(path: str, what: str) -> str:
+    """The whole of a UTF-8 text file; an unreadable one is a DataFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
 def to_dict(p: Polynomial) -> dict:

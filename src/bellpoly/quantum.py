@@ -661,38 +661,22 @@ def frame_to_text(f: MeasurementFrame) -> str:
 
 
 def frame_from_text(text: str) -> MeasurementFrame:
-    rows: list[tuple[np.ndarray, int]] = []
-    n: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if n is None:
-            if not line.startswith("n="):
-                raise DataFormatError("frame file must start with an n=<count> header", line=lineno)
-            try:
-                n = int(line[2:])
-            except ValueError as exc:
-                raise DataFormatError(f"bad frame header {line!r}", line=lineno) from exc
-            if n < 1:
-                raise DataFormatError("frame party count must be >= 1", line=lineno)
-            continue
+    n, lines = polynomial._counted_lines(text, "frame file", "frame ")
+    rows: list[tuple[list[float], int]] = []
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) != 3:
             raise DataFormatError(f"expected three reals, got {line!r}", line=lineno)
         try:
-            vec = np.array([float(x) for x in parts])
+            rows.append(([float(x) for x in parts], lineno))
         except ValueError as exc:
             raise DataFormatError(f"bad vector component in {line!r}", line=lineno) from exc
-        rows.append((vec, lineno))
-    if n is None:
-        raise DataFormatError("empty frame file")
     if len(rows) != 2 * n:
         raise DataFormatError(f"frame for n={n} needs {2 * n} vector lines, got {len(rows)}")
     vectors = []
     for vec, lineno in rows:
         try:
-            vectors.append(UnitVector(float(vec[0]), float(vec[1]), float(vec[2])))
+            vectors.append(UnitVector(*vec))
         except InvalidArgumentError as exc:
             raise DataFormatError(str(exc), line=lineno) from exc
     return MeasurementFrame(tuple(zip(vectors[::2], vectors[1::2])))
@@ -719,21 +703,13 @@ def parse_state(spec: str) -> PureState:
     if parts[0] == "file":
         if len(parts) != 2 or not parts[1]:
             raise DataFormatError(f"bad state spec {spec!r} (want file:<path>)")
-        try:
-            with open(parts[1], "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise DataFormatError(f"cannot read state file {parts[1]!r}: {exc}") from exc
-        return _state_from_text(text)
+        return _state_from_text(polynomial._read_file(parts[1], "state file"))
     raise DataFormatError(f"unknown state spec {spec!r} (want ghz:, basis:, or file:)")
 
 
 def _state_from_text(text: str) -> PureState:
     amps = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in polynomial._numbered_lines(text):
         parts = line.split()
         if len(parts) != 2:
             raise DataFormatError(f"expected `re im`, got {line!r}", line=lineno)

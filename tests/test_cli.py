@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from bellpoly import cli
 from bellpoly import polynomial as P
 from bellpoly import quantum as Q
 from bellpoly.cli import parse_correlation_text
@@ -277,6 +279,72 @@ class TestGlobalFlags:
         res = run_cli("--verdict-tol", "0.5", "poly", "mk", "2")
         assert res.code == 2
 
+    def test_negative_seed_is_usage_error(self):
+        res = run_cli("--seed", "-1", "--restarts", "1", "qmax", "mk", "2")
+        assert (res.code, res.err) == (2, "error: seed must be non-negative, got -1\n")
+
+
+class TestSettingsReachEveryCommand:
+    """A cap or tolerance governs every command that runs what it limits."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["qmax", "mk", "3"],
+            ["qmax", "mk", "3", "--state", "ghz:3"],
+            ["classify", "--poly", "mk", "3", "--state", "ghz:3", "--frame", "FRAME"],
+            ["--restarts", "1", "table1"],
+        ],
+    )
+    def test_spectral_cap_stops_every_dense_path(self, command, tmp_path):
+        """Each path stops with the message plain `qmax` prints."""
+        frame_path = tmp_path / "frame.txt"
+        frame_path.write_text(Q.frame_to_text(mermin3_frame()))
+        argv = [str(frame_path) if arg == "FRAME" else arg for arg in command]
+        res = run_cli("--spectral-cap", "2", *argv)
+        assert (res.code, res.err) == (
+            3, "error: spectral computation for n=3 exceeds the cap n <= 2 (--spectral-cap)\n"
+        )
+
+    def test_table1_local_cap(self):
+        res = run_cli("--local-cap", "2", "--restarts", "1", "table1")
+        assert res.code == 3
+        assert "--local-cap" in res.err
+
+    def test_table1_forwards_search_settings(self, monkeypatch):
+        calls = []
+        for name in ("quantum_max", "block_product_max"):
+            def spy(*args, _real=getattr(Q, name), _name=name, **kwargs):
+                calls.append((_name, kwargs))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(Q, name, spy)
+        run_cli(
+            "--restarts", "1", "--seesaw-tol", "1e-5", "--seesaw-max-sweeps", "7",
+            "--spectral-cap", "5", "table1",
+        )
+        # per row (M3, S3): one full search and one per 3-party bipartition
+        assert sorted(name for name, _ in calls) == ["block_product_max"] * 6 + ["quantum_max"] * 2
+        for _, kwargs in calls:
+            assert (kwargs["restarts"], kwargs["tol"], kwargs["max_rounds"], kwargs["cap"]) == (
+                1, 1e-5, 7, 5
+            )
+
+    def test_every_setting_listed_once(self):
+        names = [f.name for f in dataclasses.fields(cli.RunConfig)]
+        shown = run_cli("--show-config").out.splitlines()
+        assert [line.split(" = ")[0] for line in shown] == names
+        structured = run_cli("--format", "structured", "--show-config").json()["config"]
+        assert sorted(structured) == sorted(names)
+        help_out = run_cli("--help").out
+        options = [
+            line.split()[0] for line in help_out.split("options:")[1].splitlines()
+            if line.startswith("  -")
+        ]
+        for name in names:
+            flag = "--format" if name == "output_format" else "--" + name.replace("_", "-")
+            assert options.count(flag) == 1, flag
+
 
 class TestSubprocess:
     """The installed entry point, end to end in a fresh interpreter."""
@@ -322,6 +390,21 @@ class TestCorrelationParsing:
     def test_wrong_width_rejected(self):
         with pytest.raises(DataFormatError):
             parse_correlation_text("n=2\n000 1.0\n")
+
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("", "empty correlation file", None),
+            ("# c\n00 1.0\n", "line 2: correlation file must start with an n=<count> header", 2),
+            ("n=x\n", "line 1: bad header 'n=x'", 1),
+            ("\nn=0\n", "line 2: party count must be >= 1", 2),
+            ("n=1\n\n# c\n0 1.0\n0 0.5\n", "line 5: duplicate settings '0'", 5),
+        ],
+    )
+    def test_error_messages_and_lines(self, text, message, line):
+        with pytest.raises(DataFormatError) as err:
+            parse_correlation_text(text)
+        assert (str(err.value), err.value.line) == (message, line)
 
 
 class TestRoundTrip:

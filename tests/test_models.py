@@ -85,6 +85,53 @@ class TestEvaluateLocal:
             LocalStrategy(((1, 0),))
 
 
+class TestExactEvaluation:
+    """evaluate_local and evaluate_hybrid round the exact sum once."""
+
+    # Float term-by-term summation reads 1.0; the exact value is 1 + 2^-52.
+    WIDE = P.from_text("+1/2^0 * A1 A2\n+1/2^53 * A1' A2\n+1/2^53 * A1 A2'\n")
+
+    def test_local_witness_evaluates_to_its_bound(self):
+        result = M.local_bound(self.WIDE)
+        assert result.value == 1.0 + 2.0**-52
+        assert M.evaluate_local(self.WIDE, result.witness) == result.value
+
+    def test_hybrid_witness_evaluates_to_its_bound(self):
+        overall = M.hybrid_bound_all(self.WIDE).overall
+        w = overall.witness
+        assert overall.value == 1.0 + 2.0**-52
+        assert M.evaluate_hybrid(self.WIDE, w.partition, w.block_a, w.block_b) == overall.value
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_matches_dyadic_oracle(self, n, seed):
+        """Against the dyadic term sum, on int64 and Python-int (denominators to 2^80) tensors."""
+        rng = np.random.default_rng(seed)
+        masks = rng.choice(1 << n, size=int(rng.integers(1, (1 << n) + 1)), replace=False)
+        poly = Polynomial(n, {
+            Term(n, int(m)): DyadicCoefficient(
+                int(rng.integers(-9, 10)) or 1, int(rng.integers(0, 81))
+            )
+            for m in masks
+        })
+        script = LocalStrategy(tuple(
+            (int(a), int(b)) for a, b in rng.choice([-1, 1], size=(n, 2))
+        ))
+        assert M.evaluate_local(poly, script) == float(exact_value(poly, local_sign(script)))
+        if n < 2:
+            return
+        partition = M.bipartitions(n)[int(rng.integers(len(M.bipartitions(n))))]
+        a, b = partition.block_a_parties, partition.block_b_parties
+        w = M.HybridWitness(
+            partition,
+            BlockStrategy(a, tuple(int(x) for x in rng.choice([-1, 1], size=1 << len(a)))),
+            BlockStrategy(b, tuple(int(x) for x in rng.choice([-1, 1], size=1 << len(b)))),
+        )
+        assert M.evaluate_hybrid(poly, partition, w.block_a, w.block_b) == float(
+            exact_value(poly, hybrid_sign(w))
+        )
+
+
 class TestLocalBound:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_mk_bound_is_one(self, n):

@@ -563,6 +563,21 @@ class TestTextInterfaces:
             Q.frame_from_text("n=1\n0 0 2\n0 0 1\n")  # non-unit vector
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("", "empty frame file", None),
+            ("# c\n\n0 0 1\n", "line 3: frame file must start with an n=<count> header", 3),
+            ("n=x\n", "line 1: bad frame header 'n=x'", 1),
+            ("\nn=0\n", "line 2: frame party count must be >= 1", 2),
+            ("n=1\n0 0 1\n# c\n0 0\n", "line 4: expected three reals, got '0 0'", 4),
+        ],
+    )
+    def test_frame_error_messages(self, text, message, line):
+        with pytest.raises(DataFormatError) as err:
+            Q.frame_from_text(text)
+        assert (str(err.value), err.value.line) == (message, line)
+
     def test_state_specs(self):
         assert np.array_equal(Q.parse_state("ghz:3").amplitudes, Q.ghz(3).amplitudes)
         assert Q.parse_state("basis:2:1").amplitudes[1] == 1.0
@@ -588,3 +603,13 @@ class TestTextInterfaces:
             Q.parse_state(f"file:{path}")
         with pytest.raises(DataFormatError):
             Q.parse_state("file:/does/not/exist")
+
+    def test_state_file_error_lines(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# amplitudes\n1.0 0.0\n\nx 0.0\n")
+        with pytest.raises(DataFormatError) as err:
+            Q.parse_state(f"file:{path}")
+        assert (str(err.value), err.value.line) == ("line 4: bad amplitude in 'x 0.0'", 4)
+        with pytest.raises(DataFormatError) as err:
+            Q.parse_state("file:/does/not/exist")
+        assert str(err.value).startswith("cannot read state file '/does/not/exist': ")
