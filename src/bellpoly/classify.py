@@ -200,9 +200,10 @@ def _svetlichny_hybrid(n: int) -> Root2Power:
 def mk_bound(n: int, model: ModelKind) -> Root2Power:
     """Closed-form bound of the n-party MK polynomial under one model class.
 
-    Hybrid bounds are tabulated only where they have been established by
-    direct computation (n = 3, 4); other n raise NotTabulatedError and should
-    go through models.hybrid_bound_all.
+    The hybrid bound is 2**floor((n-1)/2) at every block size k, as computed
+    by models.hybrid_bound_all for n = 2..9 (the same at every split, for mk
+    and its prime flip).  It is tabulated only there; larger n raise
+    NotTabulatedError.
     """
     if not isinstance(n, int) or n < 2:
         raise InvalidArgumentError(f"mk_bound needs n >= 2, got {n!r}")
@@ -218,8 +219,8 @@ def mk_bound(n: int, model: ModelKind) -> Root2Power:
     # hybrid
     if not 1 <= model.param <= n - 1:
         raise InvalidArgumentError(f"block size k={model.param} out of range 1..{n - 1}")
-    if n in (3, 4):
-        return Root2Power(2)
+    if n <= 9:
+        return Root2Power(2 * ((n - 1) // 2))
     raise NotTabulatedError(
         f"no closed-form hybrid bound is stored for the MK polynomial at n={n}; "
         f"compute it with models.hybrid_bound_all"

@@ -251,14 +251,14 @@ def cmd_qmax(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str]:
     }
     quantum._check_cap(poly, config.spectral_cap)
     if args.state is not None:
-        state = quantum.parse_state(args.state)
-        if state.n != poly.n:
+        qubits, build_state = quantum._state_spec(args.state)
+        if qubits != poly.n:
             raise InvalidArgumentError(
-                f"state has {state.n} qubits, polynomial has {poly.n} parties"
+                f"state has {qubits} qubits, polynomial has {poly.n} parties"
             )
         result = quantum.seesaw(
             poly,
-            state,
+            build_state(),
             restarts=config.restarts,
             seed=config.seed,
             tol=config.seesaw_tol,
@@ -321,13 +321,13 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str
         if args.state is None or args.frame is None:
             raise InvalidArgumentError("--state and --frame must be given together")
         quantum._check_cap(poly, config.spectral_cap)
-        state = quantum.parse_state(args.state)
         frame = quantum.frame_from_text(polynomial._read_file(args.frame, "frame file"))
-        if state.n != poly.n or frame.n != poly.n:
+        qubits, build_state = quantum._state_spec(args.state)
+        if qubits != poly.n or frame.n != poly.n:
             raise InvalidArgumentError(
-                f"polynomial has {poly.n} parties, state has {state.n}, frame has {frame.n}"
+                f"polynomial has {poly.n} parties, state has {qubits}, frame has {frame.n}"
             )
-        value = quantum.expectation(quantum.bell_operator(poly, frame), state)
+        value = quantum.expectation(quantum.bell_operator(poly, frame), build_state())
         source = {"type": "state", "state": args.state, "frame": args.frame}
     if kind in ("mk", "mk-prime"):
         verdict = classify.entanglement_depth_verdict(value, n, tol=config.verdict_tol)

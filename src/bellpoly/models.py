@@ -20,6 +20,10 @@ signed partial sum can then exceed, and Python ints (object dtype) beyond.
 Every returned witness is re-summed by a second integer contraction, the
 same one through which evaluate_local and evaluate_hybrid compute a value,
 so a witness evaluates to exactly its bound.
+
+Within one hybrid_bound_all call, splits with equal integer block matrices
+share one scan (every named family has 4 distinct matrices at n = 8 and 9);
+each split still builds and re-sums its own witness.
 """
 
 from __future__ import annotations
@@ -418,7 +422,7 @@ def hybrid_bound(
             f"block A has {size_a} parties; enumeration is capped at "
             f"{max_block_size} (--hybrid-block-cap)"
         )
-    return _hybrid_bound(_scaled_tensor(p), partition)
+    return _hybrid_bound(_scaled_tensor(p), partition, {})
 
 
 def _hybrid_sum(tensor: np.ndarray, block_a: BlockStrategy, block_b: BlockStrategy) -> int:
@@ -427,12 +431,8 @@ def _hybrid_sum(tensor: np.ndarray, block_a: BlockStrategy, block_b: BlockStrate
     return int(np.array(block_a.products) @ coef @ np.array(block_b.products))
 
 
-def _hybrid_bound(scaled: tuple[np.ndarray, int], partition: Bipartition) -> BoundResult:
-    """hybrid_bound on the polynomial's _scaled_tensor, which hybrid_bound_all builds once."""
-    a = partition.block_a_parties
-    b = partition.block_b_parties
-    tensor, k = scaled
-    coef = _block_coefficient_matrix(tensor, a, b)
+def _scan(coef: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """(best objective, its A strategy's index, its block-B effective row) over _halved_chunks."""
     best = None
     start = 0
     for effective in _halved_chunks(coef):
@@ -441,6 +441,25 @@ def _hybrid_bound(scaled: tuple[np.ndarray, int], partition: Bipartition) -> Bou
         if best is None or objective[i] > best:
             best, best_index, best_effective = int(objective[i]), start + i, effective[i]
         start += len(effective)
+    return best, best_index, best_effective
+
+
+def _hybrid_bound(
+    scaled: tuple[np.ndarray, int], partition: Bipartition, scans: dict
+) -> BoundResult:
+    """hybrid_bound on the polynomial's _scaled_tensor, which hybrid_bound_all builds once.
+
+    scans holds the _scan of every block matrix seen so far, keyed by shape
+    and exact entries; the witness is still built and re-summed per split.
+    """
+    a = partition.block_a_parties
+    b = partition.block_b_parties
+    tensor, k = scaled
+    coef = _block_coefficient_matrix(tensor, a, b)
+    key = (coef.shape, tuple(coef.ravel().tolist()))  # Python ints: exact on both dtypes
+    if key not in scans:
+        scans[key] = _scan(coef)
+    best, best_index, best_effective = scans[key]
     num_tuples = coef.shape[0]
     row_a = 1 - 2 * ((best_index >> np.arange(num_tuples - 1, -1, -1)) & 1)
     col_b = np.where(best_effective >= 0, 1, -1)
@@ -526,17 +545,24 @@ class HybridScan:
 def hybrid_bound_all(
     p: Polynomial, *, max_block_size: int = DEFAULT_HYBRID_BLOCK_CAP
 ) -> HybridScan:
-    """hybrid_bound over every canonical bipartition, and their maximum."""
+    """hybrid_bound over every canonical bipartition, and their maximum.
+
+    Splits with equal integer block matrices share one scan.  Every named
+    family is invariant under party permutations, so it has one matrix per
+    block size: 4 scans for the 127 or 255 splits at n = 8, 9.  Each split
+    still builds and re-sums its own witness.
+    """
     if p.n // 2 > max_block_size:  # fail before computing any partition
         raise ResourceLimitError(
             f"a balanced split of {p.n} parties has a block of {p.n // 2}; "
             f"enumeration is capped at {max_block_size} (--hybrid-block-cap)"
         )
     scaled = _scaled_tensor(p)
+    scans: dict = {}
     results = []
     overall: BoundResult | None = None
     for partition in bipartitions(p.n):
-        result = _hybrid_bound(scaled, partition)
+        result = _hybrid_bound(scaled, partition, scans)
         results.append((partition, result))
         if overall is None or result.value_exact > overall.value_exact:
             overall = result

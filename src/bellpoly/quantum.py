@@ -688,22 +688,39 @@ def parse_state(spec: str) -> PureState:
     A state file lists the 2**n amplitudes, one `re im` pair per line, in
     basis order.
     """
-    parts = spec.split(":", 1)
-    if parts[0] == "ghz":
+    return _state_spec(spec)[1]()
+
+
+def _state_spec(spec: str) -> tuple[int, Callable[[], PureState]]:
+    """parse_state in two steps: the spec's qubit count, and a call that builds the state.
+
+    A `ghz:n` or `basis:n:index` spec yields n without building its 2**n
+    amplitudes, so a caller can compare n with its polynomial first.  A
+    `file:` spec is read here, since only its amplitudes give its count.
+    """
+    kind, _, rest = spec.partition(":")
+    if kind in ("ghz", "basis"):
+        want = "ghz:n" if kind == "ghz" else "basis:n:index"
+        bad = f"bad state spec {spec!r} (want {want})"
         try:
-            return ghz(int(parts[1]))
-        except (IndexError, ValueError) as exc:
-            raise DataFormatError(f"bad state spec {spec!r} (want ghz:n)") from exc
-    if parts[0] == "basis":
-        try:
-            _, n_text, idx_text = spec.split(":")
-            return basis_state(int(n_text), int(idx_text))
-        except (ValueError, InvalidArgumentError) as exc:
-            raise DataFormatError(f"bad state spec {spec!r} (want basis:n:index)") from exc
-    if parts[0] == "file":
-        if len(parts) != 2 or not parts[1]:
+            args = [int(field) for field in rest.split(":")]
+        except ValueError as exc:
+            raise DataFormatError(bad) from exc
+        if len(args) != (1 if kind == "ghz" else 2) or args[0] < 1:
+            raise DataFormatError(bad)
+
+        def build() -> PureState:
+            try:
+                return ghz(*args) if kind == "ghz" else basis_state(*args)
+            except InvalidArgumentError as exc:
+                raise DataFormatError(bad) from exc
+
+        return args[0], build
+    if kind == "file":
+        if not rest:
             raise DataFormatError(f"bad state spec {spec!r} (want file:<path>)")
-        return _state_from_text(polynomial._read_file(parts[1], "state file"))
+        state = _state_from_text(polynomial._read_file(rest, "state file"))
+        return state.n, lambda: state
     raise DataFormatError(f"unknown state spec {spec!r} (want ghz:, basis:, or file:)")
 
 

@@ -1,9 +1,19 @@
 """Regenerate tests/data/classical_golden.json, the classical-layer regression fixture.
 
 One SHA-256 per case covers the polynomial's structured form and the exact
-value and witness of `local_bound` and of every split of `hybrid_bound_all`,
-for mk and svetlichny at n = 2..9 and svetlichny_minus at odd n.  Run from a
-checkout whose outputs are trusted:
+value and witness of `local_bound` and of every split of `hybrid_bound_all`.
+The cases are mk and svetlichny at n = 2..9 and svetlichny_minus at odd n,
+which are symmetric under every party permutation, plus inputs whose splits
+do not all share one block matrix per size:
+
+* dense: every term present, seeded random dyadic coefficients (no two
+  splits share a block matrix);
+* swap12: symmetric only under exchanging parties 1 and 2, so some splits
+  share a block matrix and others do not;
+* wide: svetlichny(n) with -2^-70 added on the all-primed term, which keeps
+  the party symmetry and puts the scan on the Python-int (object) path.
+
+Run from a checkout whose outputs are trusted:
 
     PYTHONPATH=src python3 tests/make_classical_golden.py
 """
@@ -14,10 +24,43 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 from bellpoly import models as M
 from bellpoly import polynomial as P
+from bellpoly.polynomial import DyadicCoefficient, Polynomial, Term
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "classical_golden.json"
+
+
+def _dense(n: int) -> Polynomial:
+    rng = np.random.default_rng(n)
+    return Polynomial(
+        n,
+        {
+            Term(n, m): DyadicCoefficient(int(rng.integers(-7, 8)) or 1, int(rng.integers(0, 4)))
+            for m in range(1 << n)
+        },
+    )
+
+
+def _swap12(n: int) -> Polynomial:
+    """A dense random polynomial plus its image under exchanging parties 1 and 2."""
+    p = _dense(n)
+
+    def swapped(mask: int) -> int:
+        return mask ^ 0b11 if (mask ^ (mask >> 1)) & 1 else mask
+
+    image = Polynomial(n, {Term(n, swapped(t.prime_mask)): c for t, c in p.terms.items()})
+    return P.combine(p, image, 1, 1)
+
+
+def _wide(n: int) -> Polynomial:
+    corner = Polynomial(n, {Term(n, (1 << n) - 1): DyadicCoefficient(-1, 70)})
+    return P.combine(P.svetlichny(n), corner, 1, 1)
+
+
+EXTRA_KINDS = {"dense": _dense, "swap12": _swap12, "wide": _wide}
 
 
 def cases() -> list[tuple[str, int]]:
@@ -26,7 +69,11 @@ def cases() -> list[tuple[str, int]]:
         found += [("mk", n), ("svetlichny", n)]
         if n % 2:
             found.append(("svetlichny_minus", n))
-    return found
+    return found + [("dense", 7), ("dense", 8), ("swap12", 6), ("wide", 5)]
+
+
+def polynomial(kind: str, n: int) -> Polynomial:
+    return EXTRA_KINDS[kind](n) if kind in EXTRA_KINDS else getattr(P, kind)(n)
 
 
 def _bound(result: M.BoundResult) -> list:
@@ -34,7 +81,7 @@ def _bound(result: M.BoundResult) -> list:
 
 
 def case_digest(kind: str, n: int) -> str:
-    p = getattr(P, kind)(n)
+    p = polynomial(kind, n)
     scan = M.hybrid_bound_all(p)
     record = {
         "polynomial": P.to_dict(p),

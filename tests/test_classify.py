@@ -69,13 +69,9 @@ class TestMkBound:
         assert C.mk_bound(4, ModelKind.algebraic()) == Root2Power(4)
         assert C.mk_bound(5, ModelKind.algebraic()) == Root2Power(4)
 
-    def test_hybrid_tabulated(self):
-        assert C.mk_bound(3, ModelKind.hybrid_separable(1)) == Root2Power(2)
-        assert C.mk_bound(4, ModelKind.hybrid_separable(2)) == Root2Power(2)
-
-    def test_hybrid_not_tabulated_beyond_four(self):
+    def test_hybrid_not_tabulated_beyond_nine(self):
         with pytest.raises(NotTabulatedError) as err:
-            C.mk_bound(5, ModelKind.hybrid_separable(2))
+            C.mk_bound(10, ModelKind.hybrid_separable(2))
         assert "hybrid_bound_all" in str(err.value)
 
     def test_parameter_ranges(self):
@@ -83,6 +79,34 @@ class TestMkBound:
             C.mk_bound(3, ModelKind.quantum_depth(4))
         with pytest.raises(InvalidArgumentError):
             C.mk_bound(3, ModelKind.hybrid_separable(3))
+
+
+def hybrid_values_by_block_size(p: P.Polynomial) -> dict[int, set[Root2Power]]:
+    """hybrid_bound_all's exact values, grouped by the size of block A, each as a Root2Power."""
+    found: dict[int, set[Root2Power]] = {}
+    for partition, result in M.hybrid_bound_all(p):
+        num = result.value_exact.numerator
+        assert result.value_exact.log2_denominator == 0 and num & (num - 1) == 0, result
+        power = Root2Power(2 * (num.bit_length() - 1))
+        found.setdefault(len(partition.block_a_parties), set()).add(power)
+    return found
+
+
+def test_tabulated_hybrid_bounds_match_the_scan():
+    """Every tabulated hybrid bound equals the computed one at every split of its block size."""
+    for n in range(2, 10):
+        for p in (P.mk(n), P.prime_flip(P.mk(n))):
+            computed = hybrid_values_by_block_size(p)
+            for k in range(1, n):
+                tabulated = C.mk_bound(n, ModelKind.hybrid_separable(k))
+                assert computed[min(k, n - k)] == {tabulated}, (n, k)
+        if n >= 3:
+            computed = hybrid_values_by_block_size(P.svetlichny(n))
+            table = C.svetlichny_bounds(n).bounds
+            columns = [model for model in table if model.kind == "hybrid"]
+            assert sorted(model.param for model in columns) == sorted(computed), n
+            for model in columns:
+                assert computed[model.param] == {table[model]}, (n, model.param)
 
 
 class TestSvetlichnyBounds:

@@ -345,6 +345,38 @@ class TestSettingsReachEveryCommand:
             flag = "--format" if name == "output_format" else "--" + name.replace("_", "-")
             assert options.count(flag) == 1, flag
 
+    @pytest.mark.parametrize("spec", ["ghz:30", "basis:30:0"])
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            pytest.param(
+                ["qmax", "mk", "3", "--state", "SPEC"],
+                "state has 30 qubits, polynomial has 3 parties",
+                id="qmax",
+            ),
+            pytest.param(
+                ["classify", "--poly", "mk", "3", "--state", "SPEC", "--frame", "FRAME"],
+                "polynomial has 3 parties, state has 30, frame has 3",
+                id="classify",
+            ),
+        ],
+    )
+    def test_state_count_checked_before_the_state_is_built(
+        self, command, message, spec, tmp_path, monkeypatch
+    ):
+        """--spectral-cap bounds the polynomial's n, not the spec's; 2^30 amplitudes are 16 GiB."""
+
+        def refuse(*args):
+            raise AssertionError(f"built a state for {args}")
+
+        monkeypatch.setattr(Q, "ghz", refuse)
+        monkeypatch.setattr(Q, "basis_state", refuse)
+        frame_path = tmp_path / "frame.txt"
+        frame_path.write_text(Q.frame_to_text(mermin3_frame()))
+        argv = [{"SPEC": spec, "FRAME": str(frame_path)}.get(arg, arg) for arg in command]
+        res = run_cli(*argv)
+        assert (res.code, res.err) == (2, f"error: {message}\n")
+
 
 class TestSubprocess:
     """The installed entry point, end to end in a fresh interpreter."""

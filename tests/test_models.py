@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bellpoly import models as M
 from bellpoly import polynomial as P
@@ -18,6 +19,8 @@ from bellpoly.errors import (
 )
 from bellpoly.models import Bipartition, BlockStrategy, LocalStrategy
 from bellpoly.polynomial import DyadicCoefficient, Polynomial, Term
+
+from make_classical_golden import polynomial as golden_polynomial
 
 
 def single_term(n: int, mask: int) -> Polynomial:
@@ -410,6 +413,90 @@ class TestHybridBoundAll:
     def test_fails_fast_above_cap(self):
         with pytest.raises(ResourceLimitError):
             M.hybrid_bound_all(P.mk(10))
+
+
+def symmetrised(p: Polynomial) -> Polynomial:
+    """Each term's coefficient replaced by the sum over its popcount class: every party permutation fixes it."""
+    sums: dict[int, DyadicCoefficient] = {}
+    for term, coef in p.terms.items():
+        weight = bin(term.prime_mask).count("1")
+        sums[weight] = sums.get(weight, DyadicCoefficient(0)) + coef
+    terms = {
+        Term(p.n, m): sums[bin(m).count("1")]
+        for m in range(1 << p.n)
+        if sums.get(bin(m).count("1"))
+    }
+    return Polynomial(p.n, terms)
+
+
+def with_tiny_corner(p: Polynomial) -> Polynomial:
+    """p plus -2^-70 on the all-primed term, which no party permutation moves; the tensor is then object dtype."""
+    corner = Polynomial(p.n, {Term(p.n, (1 << p.n) - 1): DyadicCoefficient(-1, 70)})
+    return P.combine(p, corner, 1, 1)
+
+
+def count_scans(monkeypatch) -> list:
+    """Record one entry per hybrid scan (one _halved_chunks call each)."""
+    calls = []
+    real = M._halved_chunks
+
+    def spy(coef):
+        calls.append(coef.shape)
+        return real(coef)
+
+    monkeypatch.setattr(M, "_halved_chunks", spy)
+    return calls
+
+
+class TestSharedScans:
+    """hybrid_bound_all scans each distinct block matrix once; hybrid_bound never shares."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 6),
+        st.sampled_from(["random", "symmetric", "wide"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_split_matches_its_own_scan(self, n, form, seed):
+        p = random_dyadic(n, np.random.default_rng(seed))
+        if form != "random":
+            p = symmetrised(p)
+            assume(p.terms)
+        if form == "wide":
+            p = with_tiny_corner(p)
+            assert M._scaled_tensor(p)[0].dtype == object
+        scan = M.hybrid_bound_all(p)
+        for partition, result in scan:
+            assert result.as_dict() == M.hybrid_bound(p, partition).as_dict()
+        best = max(result.value_exact for _, result in scan)
+        first_best = next(result for _, result in scan if result.value_exact == best)
+        assert scan.overall.as_dict() == first_best.as_dict()
+
+    # dense: none of the 127 splits shares a matrix; swap12: 31 splits, 26 matrices
+    @pytest.mark.parametrize(
+        "kind, n, scans",
+        [("mk", 9, 4), ("svetlichny", 8, 4), ("dense", 8, 127), ("swap12", 6, 26)],
+    )
+    def test_scan_count(self, kind, n, scans, monkeypatch):
+        p = golden_polynomial(kind, n)
+        calls = count_scans(monkeypatch)
+        M.hybrid_bound_all(p)
+        assert len(calls) == scans
+
+    def test_reused_scan_is_still_resummed(self, monkeypatch):
+        """The last 2|2 split of mk(4) reuses the first one's scan; its own re-sum still runs."""
+        reused = M.bipartitions(4)[-1]
+        calls = count_scans(monkeypatch)
+        M.hybrid_bound_all(P.mk(4))
+        assert len(calls) == 2
+        real = M._hybrid_sum
+
+        def tampered(tensor, block_a, block_b):
+            return real(tensor, block_a, block_b) + (block_a.parties == reused.block_a_parties)
+
+        monkeypatch.setattr(M, "_hybrid_sum", tampered)
+        with pytest.raises(NumericalIntegrityError, match=re.escape(reused.to_text())):
+            M.hybrid_bound_all(P.mk(4))
 
 
 class TestBruteOracle:
