@@ -190,7 +190,18 @@ class Verdict:
 
 
 def _mk_algebraic(n: int) -> Root2Power:
+    """The algebraic limit of the n-party MK polynomial, and of the Svetlichny one."""
     return Root2Power(n if n % 2 == 0 else n - 1)
+
+
+def _mk_depth_bounds(n: int) -> dict[int, Root2Power]:
+    """The n-party MK bound 2**((m-1)/2) at entanglement depth m, keyed by m.
+
+    Only m <= 2 and m >= n - 2 are stored.  For 3 <= m <= n - 3 two clusters
+    of at least 3 parties beat 2**((m-1)/2): at n = 6, two 3-party states
+    reach 2*sqrt(2).
+    """
+    return {m: Root2Power(m - 1) for m in range(1, n + 1) if m <= 2 or m >= n - 2}
 
 
 def _svetlichny_hybrid(n: int) -> Root2Power:
@@ -203,7 +214,8 @@ def mk_bound(n: int, model: ModelKind) -> Root2Power:
     The hybrid bound is 2**floor((n-1)/2) at every block size k, as computed
     by models.hybrid_bound_all for n = 2..9 (the same at every split, for mk
     and its prime flip).  It is tabulated only there; larger n raise
-    NotTabulatedError.
+    NotTabulatedError.  The bound at entanglement depth m, 2**((m-1)/2), holds
+    only for m <= 2 and m >= n - 2; other m raise NotTabulatedError too.
     """
     if not isinstance(n, int) or n < 2:
         raise InvalidArgumentError(f"mk_bound needs n >= 2, got {n!r}")
@@ -213,7 +225,10 @@ def mk_bound(n: int, model: ModelKind) -> Root2Power:
         m = model.param
         if not 1 <= m <= n:
             raise InvalidArgumentError(f"entanglement depth m={m} out of range 1..{n}")
-        return Root2Power(m - 1)
+        bound = _mk_depth_bounds(n).get(m)
+        if bound is None:
+            raise NotTabulatedError(f"no MK bound is stored at n={n} for depth m={m}")
+        return bound
     if model.kind == "algebraic":
         return _mk_algebraic(n)
     # hybrid
@@ -228,21 +243,15 @@ def mk_bound(n: int, model: ModelKind) -> Root2Power:
 
 
 def svetlichny_bounds(n: int) -> BoundTable:
-    """The full bound table of the n-party Svetlichny polynomial."""
+    """The full bound table of the n-party Svetlichny polynomial; its algebraic limit is MK's."""
     if not isinstance(n, int) or n < 3:
         raise InvalidArgumentError(f"svetlichny_bounds needs n >= 3, got {n!r}")
     hybrid = _svetlichny_hybrid(n)
-    algebraic = polynomial.algebraic_limit(polynomial.svetlichny(n))
-    alg_num = algebraic.numerator
-    if algebraic.log2_denominator != 0 or alg_num & (alg_num - 1):
-        raise NumericalIntegrityError(
-            f"algebraic limit of the n={n} Svetlichny polynomial is not a power of two"
-        )
     table: dict[ModelKind, Root2Power] = {ModelKind.local(): Root2Power(0)}
     for k in range(1, n // 2 + 1):
         table[ModelKind.hybrid_separable(k)] = hybrid
     table[ModelKind.quantum_depth(n)] = Root2Power(hybrid.half_exponent + 1)
-    table[ModelKind.algebraic()] = Root2Power(2 * (alg_num.bit_length() - 1))
+    table[ModelKind.algebraic()] = _mk_algebraic(n)
     return BoundTable(family="svetlichny", n=n, bounds=table)
 
 
@@ -264,31 +273,31 @@ def _check_value(value: float, limit: float, what: str) -> None:
 def entanglement_depth_verdict(value: float, n: int, *, tol: float = VERDICT_TOL) -> Verdict:
     """Lower bound on entanglement depth from an MK polynomial value.
 
-    Crossing 2**((m-1)/2) certifies at least (m+1)-particle entanglement; the
-    strongest threshold strictly crossed (with a `tol` guard) wins.  Depth
-    claims are capped at n, so thresholds are scanned for m up to n-1.
+    Crossing 2**((m-1)/2) certifies at least (m+1)-particle entanglement for
+    the tabulated m of mk_bound (m <= 2 and m >= n - 2); the strongest
+    threshold strictly crossed (with a `tol` guard) wins.  Depth claims are
+    capped at n, so thresholds are scanned for m up to n-1.
     """
     if not isinstance(n, int) or n < 2:
         raise InvalidArgumentError(f"verdicts need n >= 2, got {n!r}")
     _check_value(value, float(_mk_algebraic(n)), "MK polynomial value")
-    crossed: int | None = None
-    for m in range(1, n):
-        if value > float(Root2Power(m - 1)) + tol:
-            crossed = m
-    if crossed is None:
+    bounds = _mk_depth_bounds(n)
+    crossed = [m for m in bounds if m < n and value > float(bounds[m]) + tol]
+    if not crossed:
         return Verdict(
             value=value,
             threshold=None,
             conclusion="no conclusion",
             margin=None,
         )
-    threshold = Root2Power(crossed - 1)
+    m = crossed[-1]
+    threshold = bounds[m]
     return Verdict(
         value=value,
         threshold=threshold,
-        conclusion=f"at least {crossed + 1}-particle entanglement",
+        conclusion=f"at least {m + 1}-particle entanglement",
         margin=value - float(threshold),
-        depth=crossed + 1,
+        depth=m + 1,
     )
 
 
@@ -296,8 +305,7 @@ def nonseparability_verdict(value: float, n: int, *, tol: float = VERDICT_TOL) -
     """Genuine n-party non-separability from a Svetlichny polynomial value."""
     if not isinstance(n, int) or n < 2:
         raise InvalidArgumentError(f"verdicts need n >= 2, got {n!r}")
-    alg = polynomial.algebraic_limit(polynomial.svetlichny(n))
-    _check_value(value, float(alg), "Svetlichny polynomial value")
+    _check_value(value, float(_mk_algebraic(n)), "Svetlichny polynomial value")
     threshold = _svetlichny_hybrid(n)
     margin = value - float(threshold)
     if value > float(threshold) + tol:
@@ -416,75 +424,63 @@ def table1(
     spectral_cap: int = quantum.DEFAULT_SPECTRAL_CAP,
     seesaw_tol: float = quantum.DEFAULT_SEESAW_TOL,
     max_sweeps: int = quantum.DEFAULT_MAX_SWEEPS,
-    _corrupt_cell: str | None = None,
 ) -> Table1Report:
     """Recompute the three-party reference table and check every cell.
 
     Classical cells come from exhaustive enumeration and must match the stored
     closed forms bit-exactly; quantum cells come from see-saw ascent (full or
-    block-product constrained) and must match within `tolerance`.  Any mismatch
-    raises NumericalIntegrityError naming the offending cell; this is the
-    package's flagship self-test.  `local_cap` is the local enumeration's
-    `cap`; `spectral_cap`, `seesaw_tol` and `max_sweeps` are the searches'
-    `cap`, `tol` and `max_rounds`.  No hybrid block cap applies: every
-    three-party split has a one-party block.
-
-    `_corrupt_cell` ("ROW:COLUMN") deliberately corrupts one stored value so
-    the failure path itself can be exercised.
+    block-product constrained) and must match within `tolerance`.  The
+    product row checks the recomputed M3 x S3 against the stored M3 x S3.
+    All 15 cells are checked in one pass, row by row, and the first mismatch
+    raises NumericalIntegrityError naming its cell; this is the package's
+    flagship self-test.  `local_cap` is the local enumeration's `cap`;
+    `spectral_cap`, `seesaw_tol` and `max_sweeps` are the searches' `cap`,
+    `tol` and `max_rounds`.  No hybrid block cap applies: every three-party
+    split has a one-party block.
     """
-    m3 = polynomial.mk(3)
-    s3 = polynomial.svetlichny(3)
     search = dict(restarts=restarts, cap=spectral_cap, tol=seesaw_tol, max_rounds=max_sweeps)
-    recomputed: dict[str, dict[str, float]] = {"M3": {}, "S3": {}}
-    for row, poly in (("M3", m3), ("S3", s3)):
-        recomputed[row]["local"] = models.local_bound(poly, cap=local_cap).value
-        recomputed[row]["hybrid_split"] = models.hybrid_bound_all(poly).overall.value
-        recomputed[row]["algebraic"] = float(polynomial.algebraic_limit(poly))
-    offsets = {"M3": 0, "S3": 1}
-    for row, poly in (("M3", m3), ("S3", s3)):
-        recomputed[row]["quantum_depth_3"] = quantum.quantum_max(
-            poly, seed=seed + offsets[row], **search
-        ).value
-        recomputed[row]["quantum_depth_2"] = max(
-            quantum.block_product_max(
-                poly,
-                partition.block_a_parties,
-                seed=seed + 2 + 3 * offsets[row] + shift,
-                **search,
-            ).value
-            for shift, partition in enumerate(models.bipartitions(3))
-        )
-
+    recomputed: dict[str, dict[str, float]] = {}
+    rows = (("M3", polynomial.mk(3)), ("S3", polynomial.svetlichny(3)))
+    for offset, (row, poly) in enumerate(rows):
+        recomputed[row] = {
+            "local": models.local_bound(poly, cap=local_cap).value,
+            "quantum_depth_2": max(
+                quantum.block_product_max(
+                    poly, partition.block_a_parties, seed=seed + 2 + 3 * offset + shift, **search
+                ).value
+                for shift, partition in enumerate(models.bipartitions(3))
+            ),
+            "hybrid_split": models.hybrid_bound_all(poly).overall.value,
+            "quantum_depth_3": quantum.quantum_max(poly, seed=seed + offset, **search).value,
+            "algebraic": float(polynomial.algebraic_limit(poly)),
+        }
+    stored, recomputed = _with_product(_TABLE1_STORED), _with_product(recomputed)
     cells: list[Table1Cell] = []
-    for row in ("M3", "S3"):
+    for row in ("M3", "S3", "product"):
         for column in TABLE1_COLUMNS:
-            stored = _TABLE1_STORED[row][column]
-            if _corrupt_cell == f"{row}:{column}":
-                stored = Root2Power(stored.half_exponent + 2)
-            value = recomputed[row][column]
             cell_tol = tolerance if column in _QUANTUM_COLUMNS else 0.0
-            _check_cell(row, column, stored, value, cell_tol)
-            cells.append(Table1Cell(row, column, stored, value, cell_tol))
-    for column in TABLE1_COLUMNS:
-        stored = _TABLE1_STORED["M3"][column] * _TABLE1_STORED["S3"][column]
-        if _corrupt_cell == f"product:{column}":
-            stored = Root2Power(stored.half_exponent + 2)
-        value = recomputed["M3"][column] * recomputed["S3"][column]
-        cell_tol = tolerance if column in _QUANTUM_COLUMNS else 0.0
-        _check_cell("product", column, stored, value, cell_tol)
-        cells.append(Table1Cell("product", column, stored, value, cell_tol))
+            cell = Table1Cell(row, column, stored[row][column], recomputed[row][column], cell_tol)
+            _check_cell(cell)
+            cells.append(cell)
     return Table1Report(cells=tuple(cells))
 
 
-def _check_cell(row: str, column: str, stored: Root2Power, value: float, tolerance: float) -> None:
-    if tolerance == 0.0:
-        if value != float(stored):
+def _with_product(rows: dict) -> dict:
+    """`rows` with the product row added: M3 times S3, column by column."""
+    product = {c: rows["M3"][c] * rows["S3"][c] for c in TABLE1_COLUMNS}
+    return {**rows, "product": product}
+
+
+def _check_cell(cell: Table1Cell) -> None:
+    where = f"table cell {cell.row}:{cell.column}"
+    if cell.tolerance == 0.0:
+        if cell.recomputed != float(cell.stored):
             raise NumericalIntegrityError(
-                f"table cell {row}:{column}: recomputed {value!r} != stored "
-                f"{stored.render()} (bit-exact check)"
+                f"{where}: recomputed {cell.recomputed!r} != stored "
+                f"{cell.stored.render()} (bit-exact check)"
             )
-    elif abs(value - float(stored)) > tolerance:
+    elif abs(cell.recomputed - float(cell.stored)) > cell.tolerance:
         raise NumericalIntegrityError(
-            f"table cell {row}:{column}: recomputed {value!r} differs from stored "
-            f"{stored.render()} by more than {tolerance}"
+            f"{where}: recomputed {cell.recomputed!r} differs from stored "
+            f"{cell.stored.render()} by more than {cell.tolerance}"
         )

@@ -64,7 +64,9 @@ class RunConfig:
     """
 
     seed: int = _setting(DEFAULT_SEED, "seed for all randomized searches (default 0x5EED)")
-    restarts: int = _setting(16, "random restarts for see-saw searches (default 16)")
+    restarts: int = _setting(
+        quantum.DEFAULT_RESTARTS, "random restarts for see-saw searches (default %(default)s)"
+    )
     output_format: str = _setting(
         "text", "output format (structured = one JSON document)",
         flag="--format", choices=_FORMATS,
@@ -332,9 +334,8 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str
     if kind in ("mk", "mk-prime"):
         verdict = classify.entanglement_depth_verdict(value, n, tol=config.verdict_tol)
         thresholds = [
-            {"depth": m + 1, "value": float(classify.Root2Power(m - 1)),
-             "exact": classify.Root2Power(m - 1).render()}
-            for m in range(1, n)
+            {"depth": m + 1, "value": float(bound), "exact": bound.render()}
+            for m, bound in classify._mk_depth_bounds(n).items() if m < n
         ]
     else:
         verdict = classify.nonseparability_verdict(value, n, tol=config.verdict_tol)
@@ -374,7 +375,6 @@ def cmd_table1(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str]:
         spectral_cap=config.spectral_cap,
         seesaw_tol=config.seesaw_tol,
         max_sweeps=config.seesaw_max_sweeps,
-        _corrupt_cell=args.inject_mismatch,
     )
     doc = {
         "command": "table1",
@@ -439,8 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="state spec: ghz:n, basis:n:index, or file:<path>")
     classify_p.add_argument("--frame", default=None, help="measurement frame file")
 
-    table_p = sub.add_parser("table1", help="recompute and verify the three-party bound table")
-    table_p.add_argument("--inject-mismatch", default=None, help=argparse.SUPPRESS)
+    sub.add_parser("table1", help="recompute and verify the three-party bound table")
 
     return parser
 

@@ -251,19 +251,19 @@ def _pair_ops(f: MeasurementFrame) -> np.ndarray:
     return _ops_from_vectors(np.array([[v.as_array(), w.as_array()] for v, w in f.pairs]))
 
 
-def _fold(p: Polynomial, ops: np.ndarray, parties: Sequence[int]) -> np.ndarray:
+def _fold(w: np.ndarray, ops: np.ndarray, parties: Sequence[int]) -> np.ndarray:
     """The polynomial's operator over `parties` (ascending), other settings left open.
 
-    The coefficient tensor (axis j = party j's setting) is contracted one party
-    at a time with that party's stacked observables.  The result has shape
+    The coefficient tensor `w` (axis j = party j's setting) is contracted one
+    party at a time with that party's stacked observables.  The result has shape
     (2,) * len(others) + (2**k, 2**k), where the leading axes are the settings
     of the parties not folded and the first folded party is the most
     significant qubit.  Folding k parties holds 2**(n + k) entries, so no
     intermediate exceeds the 4**n of the full Bell matrix.
     """
-    others = [j for j in range(p.n) if j not in parties]
+    others = [j for j in range(w.ndim) if j not in parties]
     lead = 1 << len(others)
-    t = np.transpose(_coefficient_tensor(p), others + list(parties)).reshape(lead, -1, 1, 1)
+    t = np.transpose(w, others + list(parties)).reshape(lead, -1, 1, 1)
     for j in parties:
         dim = t.shape[-1]
         t = t.reshape(lead, 2, -1, dim, dim)
@@ -271,15 +271,16 @@ def _fold(p: Polynomial, ops: np.ndarray, parties: Sequence[int]) -> np.ndarray:
     return t.reshape((2,) * len(others) + t.shape[-2:])
 
 
-def _bell_matrix(p: Polynomial, ops: np.ndarray) -> np.ndarray:
-    return _fold(p, ops, range(p.n))
+def _bell_matrix(w: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    return _fold(w, ops, range(w.ndim))
 
 
 def bell_operator(p: Polynomial, f: MeasurementFrame) -> BellOperator:
     """Substitute each setting symbol with its observable and sum the products."""
     if p.n != f.n:
         raise InvalidArgumentError(f"polynomial has {p.n} parties, frame has {f.n}")
-    return BellOperator(n=p.n, entries=_bell_matrix(p, _pair_ops(f)), source=(p, f))
+    matrix = _bell_matrix(_coefficient_tensor(p), _pair_ops(f))
+    return BellOperator(n=p.n, entries=matrix, source=(p, f))
 
 
 def ghz(n: int) -> PureState:
@@ -356,7 +357,7 @@ def max_eigenvalue(op: BellOperator) -> tuple[float, PureState]:
 # ---------------------------------------------------------------------------
 
 
-def _fields(p: Polynomial, ops: np.ndarray, rho: np.ndarray, party: int) -> np.ndarray:
+def _fields(w: np.ndarray, ops: np.ndarray, rho: np.ndarray, party: int) -> np.ndarray:
     """Effective Bloch vectors of both settings of `party`, shape (2, 3).
 
     Every term holds exactly one setting of each party, so the expectation is
@@ -364,8 +365,8 @@ def _fields(p: Polynomial, ops: np.ndarray, rho: np.ndarray, party: int) -> np.n
     own settings.  With F_s the fold over the other parties at setting s,
     g_s[w] = Tr(rho (sigma_w (x) F_s)), sigma_w acting on `party`.
     """
-    n = p.n
-    rest = _fold(p, ops, [j for j in range(n) if j != party])
+    n = w.ndim
+    rest = _fold(w, ops, [j for j in range(n) if j != party])
     high, low = 1 << party, 1 << (n - 1 - party)
     # rho[(a x b), (c y d)] -> [(x y), (c d a b)], x and y the row and column of `party`
     r = rho.reshape(high, 2, low, high, 2, low).transpose(1, 4, 3, 5, 0, 2).reshape(4, -1)
@@ -387,7 +388,8 @@ def effective_bloch(
         raise InvalidArgumentError(f"polynomial has {p.n} parties, state has {state.n}")
     if not 0 <= party < p.n:
         raise InvalidArgumentError(f"party index {party} out of range for n={p.n}")
-    return _fields(p, _pair_ops(f), _density(state), party)[1 if primed else 0]
+    fields = _fields(_coefficient_tensor(p), _pair_ops(f), _density(state), party)
+    return fields[1 if primed else 0]
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +455,7 @@ class BlockProductResult:
 
 
 def _settings_sweep(
-    p: Polynomial,
+    w: np.ndarray,
     vectors: np.ndarray,
     ops: np.ndarray,
     rho: np.ndarray,
@@ -466,8 +468,8 @@ def _settings_sweep(
     and checked once against Re Tr(rho B) of a fresh fold.
     """
     value = math.nan
-    for j in range(p.n):
-        g = _fields(p, ops, rho, j)
+    for j in range(w.ndim):
+        g = _fields(w, ops, rho, j)
         for s in (0, 1):
             norm = float(np.linalg.norm(g[s]))
             if norm > 1e-14:
@@ -477,7 +479,7 @@ def _settings_sweep(
             if history is not None:
                 history.append(value)
         ops[j] = _ops_from_vectors(vectors[j])
-    matrix = _bell_matrix(p, ops)
+    matrix = _bell_matrix(w, ops)
     fresh = _trace_product(rho, matrix)
     if abs(fresh - value) > _SWEEP_DRIFT_TOL:
         raise NumericalIntegrityError(
@@ -488,7 +490,7 @@ def _settings_sweep(
 
 
 def _ascend(
-    p: Polynomial,
+    w: np.ndarray,
     vectors: np.ndarray,
     state_step: Callable[[np.ndarray], np.ndarray],
     tol: float,
@@ -501,7 +503,7 @@ def _ascend(
     gets the start value Re Tr(rho_0 B_0), then 2n entries per sweep.
     """
     ops = _ops_from_vectors(vectors)
-    matrix = _bell_matrix(p, ops)
+    matrix = _bell_matrix(w, ops)
     rho = state_step(matrix)
     value = _trace_product(rho, matrix)
     if history is not None:
@@ -511,7 +513,7 @@ def _ascend(
             del rho  # hold one state at a time
             rho = state_step(matrix)
         before = value
-        value, matrix = _settings_sweep(p, vectors, ops, rho, history)
+        value, matrix = _settings_sweep(w, vectors, ops, rho, history)
         if value - before < tol:
             break
     return value, matrix
@@ -558,12 +560,12 @@ def seesaw(
     """
     if p.n != state.n:
         raise InvalidArgumentError(f"polynomial has {p.n} parties, state has {state.n}")
-    rho = _density(state)
+    rho, w = _density(state), _coefficient_tensor(p)
 
     def attempt(rng: np.random.Generator) -> SeesawResult:
         vectors = _raw_random_vectors(p.n, rng)
         history: list[float] = []
-        value, _ = _ascend(p, vectors, lambda matrix: rho, tol, max_sweeps, history)
+        value, _ = _ascend(w, vectors, lambda matrix: rho, tol, max_sweeps, history)
         return SeesawResult(_vectors_to_frame(vectors), value, tuple(history))
 
     return _best_restart(restarts, seed, attempt)
@@ -587,10 +589,11 @@ def quantum_max(
     eigenvector of the returned frame's operator.
     """
     _check_cap(p, cap)
+    w = _coefficient_tensor(p)
 
     def attempt(rng: np.random.Generator) -> QuantumMaxResult:
         vectors = _raw_random_vectors(p.n, rng)
-        _, matrix = _ascend(p, vectors, lambda m: _projector(_top_eigenpair(m)[1]), tol, max_rounds)
+        _, matrix = _ascend(w, vectors, lambda m: _projector(_top_eigenpair(m)[1]), tol, max_rounds)
         value, psi = _top_eigenpair(matrix)
         return QuantumMaxResult(value, _vectors_to_frame(vectors), PureState(p.n, psi))
 
@@ -625,6 +628,7 @@ def block_product_max(
     order = a + b  # block order: A's qubits, then B's
     axes = order + tuple(p.n + j for j in order)
     shape = (1 << len(a), 1 << len(b)) * 2
+    w = _coefficient_tensor(p)
 
     def attempt(rng: np.random.Generator) -> BlockProductResult:
         vectors = _raw_random_vectors(p.n, rng)
@@ -639,7 +643,7 @@ def block_product_max(
             psi = np.kron(phi_a, phi_b).reshape((2,) * p.n).transpose(np.argsort(order))
             return _projector(psi.reshape(-1))
 
-        value, _ = _ascend(p, vectors, product_step, tol, max_rounds)
+        value, _ = _ascend(w, vectors, product_step, tol, max_rounds)
         blocks = (PureState(len(a), phi_a), PureState(len(b), phi_b))
         return BlockProductResult(value, _vectors_to_frame(vectors), blocks)
 

@@ -7,6 +7,7 @@ import pytest
 from bellpoly import classify as C
 from bellpoly import models as M
 from bellpoly import polynomial as P
+from bellpoly import quantum as Q
 from bellpoly.classify import ModelKind, Root2Power
 from bellpoly.errors import (
     InconsistentInputError,
@@ -60,19 +61,14 @@ class TestModelKind:
 
 
 class TestMkBound:
-    def test_quantum_depth_examples(self):
-        assert C.mk_bound(4, ModelKind.quantum_depth(4)) == Root2Power(3)  # 2*sqrt(2)
-        assert C.mk_bound(4, ModelKind.quantum_depth(2)) == Root2Power(1)  # sqrt(2)
-
-    def test_local_and_algebraic(self):
-        assert C.mk_bound(5, ModelKind.local()) == Root2Power(0)
-        assert C.mk_bound(4, ModelKind.algebraic()) == Root2Power(4)
-        assert C.mk_bound(5, ModelKind.algebraic()) == Root2Power(4)
-
     def test_hybrid_not_tabulated_beyond_nine(self):
         with pytest.raises(NotTabulatedError) as err:
             C.mk_bound(10, ModelKind.hybrid_separable(2))
         assert "hybrid_bound_all" in str(err.value)
+
+    def test_depth_between_two_three_party_clusters_not_tabulated(self):
+        with pytest.raises(NotTabulatedError):
+            C.mk_bound(6, ModelKind.quantum_depth(3))
 
     def test_parameter_ranges(self):
         with pytest.raises(InvalidArgumentError):
@@ -81,53 +77,76 @@ class TestMkBound:
             C.mk_bound(3, ModelKind.hybrid_separable(3))
 
 
-def hybrid_values_by_block_size(p: P.Polynomial) -> dict[int, set[Root2Power]]:
-    """hybrid_bound_all's exact values, grouped by the size of block A, each as a Root2Power."""
-    found: dict[int, set[Root2Power]] = {}
-    for partition, result in M.hybrid_bound_all(p):
-        num = result.value_exact.numerator
-        assert result.value_exact.log2_denominator == 0 and num & (num - 1) == 0, result
-        power = Root2Power(2 * (num.bit_length() - 1))
-        found.setdefault(len(partition.block_a_parties), set()).add(power)
-    return found
+def as_root2_power(exact: P.DyadicCoefficient) -> Root2Power:
+    """An exact power of two as a Root2Power; fails on anything else."""
+    num = exact.numerator
+    assert exact.log2_denominator == 0 and num > 0 and num & (num - 1) == 0, exact
+    return Root2Power(2 * (num.bit_length() - 1))
 
 
-def test_tabulated_hybrid_bounds_match_the_scan():
-    """Every tabulated hybrid bound equals the computed one at every split of its block size."""
-    for n in range(2, 10):
+def mk_table(n: int) -> dict[ModelKind, Root2Power]:
+    """Every bound mk_bound stores at n, keyed like svetlichny_bounds(n).bounds."""
+    models = [ModelKind.local(), ModelKind.algebraic()]
+    models += [ModelKind.hybrid_separable(k) for k in range(1, n)]
+    models += [ModelKind.quantum_depth(m) for m in range(1, n + 1)]
+    table = {}
+    for model in models:
+        try:
+            table[model] = C.mk_bound(n, model)
+        except NotTabulatedError:
+            pass
+    return table
+
+
+def check_table(p: P.Polynomial, table: dict[ModelKind, Root2Power]) -> None:
+    """Check every entry of `table` that is feasible to compute for p.
+
+    Local bounds to n = 10, hybrid bounds to n = 9 (every split, by the size
+    of its smaller block), algebraic limits everywhere, the full-depth quantum
+    value by quantum_max to n = 6 within 1e-6, and, to n = 6, every depth m
+    with n/2 <= m < n by block_product_max on contiguous splits: the split
+    m | n - m reaches the bound within 1e-6, and no split whose blocks both
+    have at most m parties exceeds it by more than 1e-9.
+    """
+    n = p.n
+    assert as_root2_power(P.algebraic_limit(p)) == table[ModelKind.algebraic()]
+    if n <= 10:
+        assert as_root2_power(M.local_bound(p).value_exact) == table[ModelKind.local()]
+    if n <= 9:
+        computed: dict[int, set[Root2Power]] = {}
+        for partition, result in M.hybrid_bound_all(p):
+            size = len(partition.block_a_parties)
+            computed.setdefault(size, set()).add(as_root2_power(result.value_exact))
+        hybrids = {model.param: bound for model, bound in table.items() if model.kind == "hybrid"}
+        assert {min(k, n - k) for k in hybrids} == set(computed)
+        for k, bound in hybrids.items():
+            assert computed[min(k, n - k)] == {bound}, (n, k)
+    if n > 6:
+        return
+    full = Q.quantum_max(p, restarts=2, seed=1).value
+    assert full == pytest.approx(float(table[ModelKind.quantum_depth(n)]), abs=1e-6)
+    splits = {}  # block A = the first k parties, k >= n - k
+    for model, bound in table.items():
+        m = model.param
+        if model.kind != "quantum-depth" or not n <= 2 * m < 2 * n:
+            continue
+        for k in range((n + 1) // 2, m + 1):
+            if k not in splits:
+                splits[k] = Q.block_product_max(p, tuple(range(k)), restarts=2, seed=1).value
+            assert splits[k] <= float(bound) + 1e-9, (n, m, k)
+        assert splits[m] == pytest.approx(float(bound), abs=1e-6), (n, m)
+
+
+def test_every_closed_form_matches_computation():
+    """mk_bound for mk and its prime flip, and every column of svetlichny_bounds, for n = 2..14."""
+    for n in range(2, 15):
         for p in (P.mk(n), P.prime_flip(P.mk(n))):
-            computed = hybrid_values_by_block_size(p)
-            for k in range(1, n):
-                tabulated = C.mk_bound(n, ModelKind.hybrid_separable(k))
-                assert computed[min(k, n - k)] == {tabulated}, (n, k)
+            check_table(p, mk_table(n))
         if n >= 3:
-            computed = hybrid_values_by_block_size(P.svetlichny(n))
-            table = C.svetlichny_bounds(n).bounds
-            columns = [model for model in table if model.kind == "hybrid"]
-            assert sorted(model.param for model in columns) == sorted(computed), n
-            for model in columns:
-                assert computed[model.param] == {table[model]}, (n, model.param)
+            check_table(P.svetlichny(n), dict(C.svetlichny_bounds(n).bounds))
 
 
 class TestSvetlichnyBounds:
-    def test_three_parties(self):
-        table = C.svetlichny_bounds(3)
-        assert table.bounds[ModelKind.hybrid_separable(1)] == Root2Power(0)
-        assert table.bounds[ModelKind.quantum_depth(3)] == Root2Power(1)
-        assert table.bounds[ModelKind.algebraic()] == Root2Power(2)
-
-    def test_four_parties(self):
-        table = C.svetlichny_bounds(4)
-        assert table.bounds[ModelKind.hybrid_separable(1)] == Root2Power(2)
-        assert table.bounds[ModelKind.hybrid_separable(2)] == Root2Power(2)
-        assert table.bounds[ModelKind.quantum_depth(4)] == Root2Power(3)
-        assert table.bounds[ModelKind.algebraic()] == Root2Power(4)
-
-    def test_five_parties(self):
-        table = C.svetlichny_bounds(5)
-        assert table.bounds[ModelKind.hybrid_separable(2)] == Root2Power(2)
-        assert table.bounds[ModelKind.quantum_depth(5)] == Root2Power(3)
-
     def test_invalid_n(self):
         with pytest.raises(InvalidArgumentError):
             C.svetlichny_bounds(2)
@@ -177,6 +196,12 @@ class TestDepthVerdict:
         # beyond the full quantum maximum but below the algebraic limit
         v = C.entanglement_depth_verdict(3.9, 4)
         assert v.depth == 4
+
+    def test_two_three_party_clusters_certify_at_most_depth_three(self):
+        # a product of two 3-party states reaches 2*sqrt(2) at n = 6
+        result = Q.block_product_max(P.mk(6), (0, 1, 2), restarts=1, seed=0)
+        assert result.value == pytest.approx(2 * SQRT2, abs=1e-6)
+        assert C.entanglement_depth_verdict(result.value, 6).depth <= 3
 
     def test_tolerance_guard(self):
         # a hair above the threshold stays at the weaker conclusion
@@ -265,14 +290,16 @@ class TestTable1:
             else:
                 assert abs(cell.recomputed - float(cell.stored)) <= cell.tolerance
 
-    def test_corrupt_cell_detected(self):
+    def test_corrupt_cell_detected(self, monkeypatch):
+        monkeypatch.setitem(C._TABLE1_STORED["M3"], "local", Root2Power(2))
         with pytest.raises(NumericalIntegrityError) as err:
-            C.table1(restarts=4, seed=0x5EED, _corrupt_cell="M3:local")
+            C.table1(restarts=4, seed=0x5EED)
         assert "M3:local" in str(err.value)
 
-    def test_corrupt_quantum_cell_detected(self):
+    def test_corrupt_quantum_cell_detected(self, monkeypatch):
+        monkeypatch.setitem(C._TABLE1_STORED["S3"], "quantum_depth_3", Root2Power(3))
         with pytest.raises(NumericalIntegrityError) as err:
-            C.table1(restarts=4, seed=0x5EED, _corrupt_cell="S3:quantum_depth_3")
+            C.table1(restarts=4, seed=0x5EED)
         assert "S3:quantum_depth_3" in str(err.value)
 
     def test_render_text_shape(self):

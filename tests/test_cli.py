@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bellpoly import classify as C
 from bellpoly import cli
 from bellpoly import polynomial as P
 from bellpoly import quantum as Q
@@ -172,6 +175,13 @@ class TestClassify:
         assert doc["verdict"]["depth"] == 3
         assert doc["verdict"]["conclusion"] == "at least 3-particle entanglement"
 
+    def test_mk_thresholds_skip_depths_that_two_clusters_beat(self):
+        # at n = 6 two 3-party states reach 2*sqrt(2), above the m = 3 threshold 2
+        res = run_cli("--format", "structured", "classify", "--poly", "mk", "6", "--value", "2.5")
+        doc = res.json()
+        assert [t["depth"] for t in doc["thresholds"]] == [2, 3, 5, 6]
+        assert doc["verdict"]["depth"] == 3
+
     def test_correlations_file(self, tmp_path):
         path = tmp_path / "ghz3.corr"
         write_svetlichny3_file(path)
@@ -252,8 +262,9 @@ class TestTable1:
             assert cell["tolerance"] == (0.001 if quantum else 0.0)
         assert sum(cell["column"].startswith("quantum") for cell in cells) == 6
 
-    def test_injected_mismatch_fails_with_cell(self):
-        res = run_cli("--restarts", "4", "table1", "--inject-mismatch", "S3:local")
+    def test_injected_mismatch_fails_with_cell(self, monkeypatch):
+        monkeypatch.setitem(C._TABLE1_STORED["S3"], "local", C.Root2Power(2))
+        res = run_cli("--restarts", "4", "table1")
         assert res.code == 5
         assert "S3:local" in res.err
 
@@ -344,6 +355,22 @@ class TestSettingsReachEveryCommand:
         for name in names:
             flag = "--format" if name == "output_format" else "--" + name.replace("_", "-")
             assert options.count(flag) == 1, flag
+
+    def test_readme_flag_table_lists_exactly_the_config_flags(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        documented = {
+            flag
+            for line in section.splitlines() if line.startswith("| `--")
+            for flag in re.findall(r"`(--[a-z-]+)`", line.split("|")[1])
+        }
+        names = {f.name for f in dataclasses.fields(cli.RunConfig)}
+        derived = {
+            flag
+            for action in cli.build_parser()._actions if action.dest in names
+            for flag in action.option_strings
+        }
+        assert documented == derived
 
     @pytest.mark.parametrize("spec", ["ghz:30", "basis:30:0"])
     @pytest.mark.parametrize(

@@ -405,8 +405,8 @@ class TestSeesaw:
     def test_drift_from_the_recomputed_value_is_an_integrity_error(self, monkeypatch):
         fold_all = Q._bell_matrix
 
-        def tampered(p, ops):
-            return fold_all(p, ops) + 1e-6 * np.eye(1 << p.n)
+        def tampered(w, ops):
+            return fold_all(w, ops) + 1e-6 * np.eye(1 << w.ndim)
 
         monkeypatch.setattr(Q, "_bell_matrix", tampered)
         with pytest.raises(NumericalIntegrityError):
