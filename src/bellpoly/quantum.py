@@ -29,6 +29,19 @@ less than `tol` over the value before it, the first round being measured
 against Re Tr(rho_0 B_0) on the start frame.  Of the seeded restarts the best
 is kept: a later one replaces it only if better by more than 1e-12, so ties go
 to the earliest start.
+
+Every top eigenpair (the state steps of `quantum_max` and `block_product_max`,
+the final `quantum_max` pair, `max_eigenvalue`) comes from one solver: dense
+`eigh` below dimension 128, Lanczos with full re-orthogonalisation from there
+on (n >= 7).  Lanczos starts from a fixed generic vector that depends only on
+the dimension, never from a previous state, so the same matrix gives the same
+bytes at every call site; it stops when the top Ritz pair's residual estimate
+is at most 1e-13 max(1, |theta|) or the Krylov space is exhausted.  On both
+paths the vector's largest entry is made real and positive, and a residual
+||B psi - lambda psi|| above 1e-9 raises NumericalIntegrityError.  Where the top
+eigenspace is degenerate, as at MK optima, Lanczos may return another vector
+of it than dense `eigh` would: values agree, but witness states at n >= 7 are
+one vector of that eigenspace, not a canonical one.
 """
 
 from __future__ import annotations
@@ -87,6 +100,9 @@ _IMAG_DISCARD = 1e-10
 _IMAG_ERROR = 1e-8
 _SWEEP_DRIFT_TOL = 1e-9
 _TIE_MARGIN = 1e-12
+_EIGEN_RESIDUAL_TOL = 1e-9
+_RITZ_TOL = 1e-13
+_DENSE_BELOW = 128  # measured crossover: eigh wins at dimension 64, Lanczos at 128
 
 _SIGMA = np.array(
     [
@@ -330,12 +346,64 @@ def expectation(op: BellOperator, state: State) -> float:
     return _trace_product(_density(state), op.entries)
 
 
+def _lanczos_start(dim: int) -> np.ndarray:
+    """The fixed, generic unit start vector for dimension `dim`."""
+    rng = np.random.default_rng(dim)
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return z / np.linalg.norm(z)
+
+
+def _lanczos_top(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top Ritz pair of a Hermitian matrix by Lanczos with full re-orthogonalisation.
+
+    Grows the Krylov basis of `_lanczos_start` one vector per step and stops
+    when the Ritz residual estimate beta_k |y_k| of the top Ritz pair is at
+    most 1e-13 max(1, |theta|), or when the Krylov space is exhausted.  The
+    k x k tridiagonal eigenproblem costs more than a step from k = 16 on, so
+    from there the estimate is taken every fourth step, and whenever beta_k
+    alone meets the bound.
+    """
+    dim = matrix.shape[0]
+    q = _lanczos_start(dim)
+    basis = np.empty((0, dim), dtype=complex)
+    alphas: list[float] = []
+    betas: list[float] = []
+    while True:
+        basis = np.vstack([basis, q])
+        v = matrix @ q
+        alphas.append(float(np.vdot(q, v).real))
+        for _ in range(2):  # Gram-Schmidt against the whole basis, twice
+            v -= basis.T @ (basis.conj() @ v)
+        beta, k = float(np.linalg.norm(v)), len(basis)
+        if k < 16 or k % 4 == 0 or k == dim or beta <= _RITZ_TOL:
+            thetas, ys = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+            theta, y = float(thetas[-1]), ys[:, -1]
+            if k == dim or beta * abs(y[-1]) <= _RITZ_TOL * max(1.0, abs(theta)):
+                return theta, y @ basis
+        betas.append(beta)
+        q = v / beta
+
+
 def _top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """The top eigenvalue and its eigenvector, phase fixed by the largest entry."""
-    eigenvalues, vectors = np.linalg.eigh(matrix)
-    vec = vectors[:, -1]
+    """The top eigenvalue and its eigenvector, phase fixed by the largest entry.
+
+    Dense `eigh` below dimension `_DENSE_BELOW`, Lanczos from there on.  The
+    pair is checked on both paths: ||B psi - lambda psi|| above 1e-9 raises
+    NumericalIntegrityError.
+    """
+    if matrix.shape[0] < _DENSE_BELOW:
+        eigenvalues, vectors = np.linalg.eigh(matrix)
+        value, vec = float(eigenvalues[-1]), vectors[:, -1]
+    else:
+        value, vec = _lanczos_top(matrix)
     pivot = vec[int(np.argmax(np.abs(vec)))]
-    return float(eigenvalues[-1]), vec * (pivot / abs(pivot)).conjugate()
+    vec = vec * (pivot / abs(pivot)).conjugate()
+    residual = float(np.linalg.norm(matrix @ vec - value * vec))
+    if not residual <= _EIGEN_RESIDUAL_TOL:
+        raise NumericalIntegrityError(
+            f"eigenpair residual {residual} exceeds {_EIGEN_RESIDUAL_TOL} (dim {vec.size})"
+        )
+    return value, vec
 
 
 def max_eigenvalue(op: BellOperator) -> tuple[float, PureState]:
@@ -344,11 +412,6 @@ def max_eigenvalue(op: BellOperator) -> tuple[float, PureState]:
         value, vec = _top_eigenpair(op.entries)
     except np.linalg.LinAlgError as exc:
         raise NumericalIntegrityError(f"eigensolver failed: {exc}") from exc
-    residual = float(np.linalg.norm(op.entries @ vec - value * vec))
-    if residual > 1e-9:
-        raise NumericalIntegrityError(
-            f"eigenpair residual {residual} exceeds 1e-9 (dim {vec.size})"
-        )
     return value, PureState(op.n, vec)
 
 
@@ -585,8 +648,12 @@ def quantum_max(
     Alternates a state step (top eigenvector of the current Bell operator)
     with one see-saw sweep of the settings.  A restart stops when a round
     gains less than `tol` over the value before it, or after `max_rounds`
-    rounds.  A final state step makes the returned state an exact top
-    eigenvector of the returned frame's operator.
+    rounds.  A final state step makes the returned state a top eigenvector of
+    the returned frame's operator, with residual ||B psi - value psi|| at most
+    1e-9.  From n = 7 on, every state step is Lanczos from a fixed start vector
+    (see the module docstring): results are byte-reproducible, and where the
+    top eigenspace is degenerate the witness state may be another vector of it
+    than dense `eigh` would give, at the same value.
     """
     _check_cap(p, cap)
     w = _coefficient_tensor(p)

@@ -103,7 +103,7 @@ def check_table(p: P.Polynomial, table: dict[ModelKind, Root2Power]) -> None:
 
     Local bounds to n = 10, hybrid bounds to n = 9 (every split, by the size
     of its smaller block), algebraic limits everywhere, the full-depth quantum
-    value by quantum_max to n = 6 within 1e-6, and, to n = 6, every depth m
+    value by quantum_max to n = 9 within 1e-6, and, to n = 6, every depth m
     with n/2 <= m < n by block_product_max on contiguous splits: the split
     m | n - m reaches the bound within 1e-6, and no split whose blocks both
     have at most m parties exceeds it by more than 1e-9.
@@ -121,10 +121,12 @@ def check_table(p: P.Polynomial, table: dict[ModelKind, Root2Power]) -> None:
         assert {min(k, n - k) for k in hybrids} == set(computed)
         for k, bound in hybrids.items():
             assert computed[min(k, n - k)] == {bound}, (n, k)
-    if n > 6:
+    if n > 9:
         return
     full = Q.quantum_max(p, restarts=2, seed=1).value
     assert full == pytest.approx(float(table[ModelKind.quantum_depth(n)]), abs=1e-6)
+    if n > 6:
+        return
     splits = {}  # block A = the first k parties, k >= n - k
     for model, bound in table.items():
         m = model.param

@@ -224,6 +224,83 @@ class TestMaxEigenvalue:
         assert v1.amplitudes[pivot].real > 0
 
 
+def assert_top_pair_matches_eigh(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+    """_top_eigenpair against dense eigh: value, residual, pivot phase, repeatability."""
+    value, vec = Q._top_eigenpair(matrix)
+    eigs = np.linalg.eigvalsh(matrix)
+    assert abs(value - eigs[-1]) <= 1e-12 * max(1.0, float(np.max(np.abs(eigs))))
+    assert np.linalg.norm(matrix @ vec - value * vec) <= Q._EIGEN_RESIDUAL_TOL
+    # the pivot is an entry of largest modulus; ties are broken before the rotation
+    largest = vec[np.abs(vec) >= np.max(np.abs(vec)) - 1e-15]
+    assert np.any((np.abs(largest.imag) <= 1e-15) & (largest.real > 0))
+    again, vec_again = Q._top_eigenpair(matrix)
+    assert again == value and vec_again.tobytes() == vec.tobytes()
+    return value, vec
+
+
+class TestLanczos:
+    """The top eigenpair at dimension >= 128, where Lanczos replaces dense eigh."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        st.sampled_from(["mk", "svetlichny", "random"]),
+        st.sampled_from([7, 8]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bell_matrices_against_eigh(self, kind, n, seed):
+        rng = np.random.default_rng(seed)
+        p = random_dyadic_polynomial(n, rng) if kind == "random" else getattr(P, kind)(n)
+        op = Q.bell_operator(p, Q.random_frame(n, rng))
+        value, vec = assert_top_pair_matches_eigh(op.entries)
+        top, state = Q.max_eigenvalue(op)
+        assert top == value and state.amplitudes.tobytes() == vec.tobytes()
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        st.sampled_from([128, 256]),
+        st.integers(2, 4),
+        st.floats(1e-3, 1e-2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_degenerate_top_with_a_small_gap(self, dim, multiplicity, gap, seed):
+        rng = np.random.default_rng(seed)
+        unitary, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        below = rng.uniform(-1.0, 1.0 - gap, dim - multiplicity - 1)
+        eigs = np.concatenate([np.ones(multiplicity), [1.0 - gap], below])
+        matrix = (unitary * eigs) @ unitary.conj().T
+        value, _ = assert_top_pair_matches_eigh((matrix + matrix.conj().T) / 2)
+        assert value == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_operator_stops_at_the_start_vector(self):
+        op = Q.bell_operator(Polynomial(7, {}), Q.random_frame(7, np.random.default_rng(2)))
+        value, vec = assert_top_pair_matches_eigh(op.entries)
+        assert value == 0.0
+        assert abs(np.vdot(Q._lanczos_start(128), vec)) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [6, 7], ids=["dense", "lanczos"])
+    def test_tampered_pair_is_an_integrity_error(self, n, monkeypatch):
+        op = Q.bell_operator(P.mk(n), Q.random_frame(n, np.random.default_rng(3)))
+        eigh = np.linalg.eigh
+
+        def shifted(matrix):
+            values, vectors = eigh(matrix)
+            return values + 1e-6, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        message = rf"eigenpair residual \S+ exceeds 1e-09 \(dim {1 << n}\)"
+        with pytest.raises(NumericalIntegrityError, match=message):
+            Q.max_eigenvalue(op)
+        with pytest.raises(NumericalIntegrityError, match=message):
+            Q.quantum_max(P.mk(n), restarts=1, seed=0)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_quantum_max_is_repeatable_to_the_byte(self, seed):
+        a = Q.quantum_max(P.mk(8), restarts=1, seed=seed)
+        b = Q.quantum_max(P.mk(8), restarts=1, seed=seed)
+        assert a.value == b.value and a.frame == b.frame
+        assert a.state.amplitudes.tobytes() == b.state.amplitudes.tobytes()
+
+
 class TestEffectiveBloch:
     def test_single_party_on_zero_ket(self):
         v = UnitVector(0.0, 0.0, 1.0)
