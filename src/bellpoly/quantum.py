@@ -6,12 +6,16 @@ the outcome symbols of a correlation polynomial yields a Hermitian Bell
 operator on n qubits; its expectation values and top eigenvalue give the
 quantum side of every bound in this package.
 
-All operators come from one fold: the polynomial's coefficient tensor (one
+Bell matrices come from one fold: the polynomial's coefficient tensor (one
 axis per party, indexed by that party's setting) is contracted one party at a
-time with the party's stacked pair of observables.  Folding every party gives
-the Bell matrix; folding all parties but one leaves that party's two settings
-open, which yields both of its effective fields in one contraction.  No
-intermediate is larger than the Bell matrix itself.
+time with the party's stacked pair of observables, and no intermediate is
+larger than the Bell matrix itself.  Effective fields need no operator.  Every
+term holds exactly one setting of each party, so an expectation depends on the
+state only through its full correlation tensor
+T[a_1..a_n] = Tr(rho sigma_a_1 (x) ... (x) sigma_a_n), 3**n reals (Werner and
+Wolf, PRA 64, 032112, 2001).  A sweep builds T once from its state, and a
+party's two fields contract T with the other parties' Bloch vectors and then
+with the coefficients.
 
 States enter as density matrices (a pure state as |psi><psi|), and every
 expectation is Re Tr(rho B).  The expectation is linear in each setting's
@@ -37,11 +41,12 @@ on (n >= 7).  Lanczos starts from a fixed generic vector that depends only on
 the dimension, never from a previous state, so the same matrix gives the same
 bytes at every call site; it stops when the top Ritz pair's residual estimate
 is at most 1e-13 max(1, |theta|) or the Krylov space is exhausted.  On both
-paths the vector's largest entry is made real and positive, and a residual
-||B psi - lambda psi|| above 1e-9 raises NumericalIntegrityError.  Where the top
-eigenspace is degenerate, as at MK optima, Lanczos may return another vector
-of it than dense `eigh` would: values agree, but witness states at n >= 7 are
-one vector of that eigenspace, not a canonical one.
+paths the first entry within 1e-9 of the largest modulus is made real and
+positive, so entries that tie up to rounding leave the phase alone, and a
+residual ||B psi - lambda psi|| above 1e-9 raises NumericalIntegrityError.
+Where the top eigenspace is degenerate, as at MK optima, Lanczos may return
+another vector of it than dense `eigh` would: values agree, but witness
+states at n >= 7 are one vector of that eigenspace, not a canonical one.
 """
 
 from __future__ import annotations
@@ -96,13 +101,14 @@ DEFAULT_MAX_SWEEPS = 1000
 
 _UNIT_TOL = 1e-12
 _HERMITIAN_TOL = 1e-10
-_IMAG_DISCARD = 1e-10
 _IMAG_ERROR = 1e-8
 _SWEEP_DRIFT_TOL = 1e-9
 _TIE_MARGIN = 1e-12
 _EIGEN_RESIDUAL_TOL = 1e-9
 _RITZ_TOL = 1e-13
 _DENSE_BELOW = 128  # measured crossover: eigh wins at dimension 64, Lanczos at 128
+_DENSE_NORM_BELOW = 256  # measured: eigvalsh wins at dimension 128, two Lanczos runs at 256
+_PIVOT_TIE = 1e-9
 
 _SIGMA = np.array(
     [
@@ -112,6 +118,9 @@ _SIGMA = np.array(
     ],
     dtype=complex,
 )
+# _PAULI_PAIRS[a, 2 r + c] = sigma_a[c, r], so rho's (row, column) pair r c of one
+# qubit contracts to Tr(rho_qubit sigma_a)
+_PAULI_PAIRS = _SIGMA.transpose(0, 2, 1).reshape(3, 4)
 
 
 @dataclass(frozen=True)
@@ -228,7 +237,12 @@ _R = TypeVar("_R", "SeesawResult", "QuantumMaxResult", "BlockProductResult")
 
 @dataclass(frozen=True)
 class BellOperator:
-    """The Hermitian matrix of a polynomial under a measurement frame."""
+    """The Hermitian matrix of a polynomial under a measurement frame.
+
+    Construction checks Hermiticity and that the operator norm is at most the
+    polynomial's algebraic limit: by `eigvalsh` below dimension 256, and from
+    there as the larger top eigenvalue of B and of -B.
+    """
 
     n: int
     entries: np.ndarray
@@ -242,8 +256,11 @@ class BellOperator:
         if np.max(np.abs(mat - mat.conj().T)) > _HERMITIAN_TOL:
             raise NumericalIntegrityError("Bell operator is not Hermitian within 1e-10")
         limit = float(polynomial.algebraic_limit(self.source[0]))
-        eigs = np.linalg.eigvalsh(mat)
-        norm = float(max(abs(eigs[0]), abs(eigs[-1]))) if eigs.size else 0.0
+        if dim < _DENSE_NORM_BELOW:
+            eigs = np.linalg.eigvalsh(mat)
+            norm = float(max(abs(eigs[0]), abs(eigs[-1])))
+        else:  # Ritz values bound the extreme eigenvalues from inside
+            norm = max(_top_eigenpair(mat)[0], _top_eigenpair(-mat)[0])
         if norm > limit + 1e-9:
             raise NumericalIntegrityError(
                 f"operator norm {norm} exceeds the algebraic limit {limit}"
@@ -262,40 +279,32 @@ def observable(v: UnitVector) -> np.ndarray:
     return v.x * _SIGMA[0] + v.y * _SIGMA[1] + v.z * _SIGMA[2]
 
 
-def _pair_ops(f: MeasurementFrame) -> np.ndarray:
-    """Shape (n, 2, 2, 2): per party, the stacked (plain, primed) observables."""
-    return _ops_from_vectors(np.array([[v.as_array(), w.as_array()] for v, w in f.pairs]))
-
-
-def _fold(w: np.ndarray, ops: np.ndarray, parties: Sequence[int]) -> np.ndarray:
-    """The polynomial's operator over `parties` (ascending), other settings left open.
-
-    The coefficient tensor `w` (axis j = party j's setting) is contracted one
-    party at a time with that party's stacked observables.  The result has shape
-    (2,) * len(others) + (2**k, 2**k), where the leading axes are the settings
-    of the parties not folded and the first folded party is the most
-    significant qubit.  Folding k parties holds 2**(n + k) entries, so no
-    intermediate exceeds the 4**n of the full Bell matrix.
-    """
-    others = [j for j in range(w.ndim) if j not in parties]
-    lead = 1 << len(others)
-    t = np.transpose(w, others + list(parties)).reshape(lead, -1, 1, 1)
-    for j in parties:
-        dim = t.shape[-1]
-        t = t.reshape(lead, 2, -1, dim, dim)
-        t = np.einsum("lsrac,sbd->lrabcd", t, ops[j]).reshape(lead, -1, 2 * dim, 2 * dim)
-    return t.reshape((2,) * len(others) + t.shape[-2:])
+def _frame_vectors(f: MeasurementFrame) -> np.ndarray:
+    """Shape (n, 2, 3): per party, the (plain, primed) Bloch vectors."""
+    return np.array([[v.as_array(), w.as_array()] for v, w in f.pairs])
 
 
 def _bell_matrix(w: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    return _fold(w, ops, range(w.ndim))
+    """The polynomial's operator: every party folded in, party 0 the most significant qubit.
+
+    The coefficient tensor `w` (axis j = party j's setting) is contracted one
+    party at a time with that party's stacked observables.  Folding k parties
+    holds 2**(n + k) entries, so no intermediate exceeds the 4**n of the Bell
+    matrix itself.
+    """
+    t = w.reshape(-1, 1, 1)
+    for j in range(w.ndim):
+        dim = t.shape[-1]
+        t = t.reshape(2, -1, dim, dim)
+        t = np.einsum("srac,sbd->rabcd", t, ops[j]).reshape(-1, 2 * dim, 2 * dim)
+    return t.reshape(t.shape[-2:])
 
 
 def bell_operator(p: Polynomial, f: MeasurementFrame) -> BellOperator:
     """Substitute each setting symbol with its observable and sum the products."""
     if p.n != f.n:
         raise InvalidArgumentError(f"polynomial has {p.n} parties, frame has {f.n}")
-    matrix = _bell_matrix(_coefficient_tensor(p), _pair_ops(f))
+    matrix = _bell_matrix(_coefficient_tensor(p), _ops_from_vectors(_frame_vectors(f)))
     return BellOperator(n=p.n, entries=matrix, source=(p, f))
 
 
@@ -384,8 +393,19 @@ def _lanczos_top(matrix: np.ndarray) -> tuple[float, np.ndarray]:
         q = v / beta
 
 
+def _fix_phase(vec: np.ndarray) -> np.ndarray:
+    """`vec` rotated so that its pivot entry is real and positive.
+
+    The pivot is the first entry whose modulus is within 1e-9 of the largest,
+    so entries that tie up to rounding cannot move it.
+    """
+    mods = np.abs(vec)
+    pivot = vec[int(np.argmax(mods >= mods.max() - _PIVOT_TIE))]
+    return vec * (pivot / abs(pivot)).conjugate()
+
+
 def _top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """The top eigenvalue and its eigenvector, phase fixed by the largest entry.
+    """The top eigenvalue and its eigenvector, phase fixed by `_fix_phase`.
 
     Dense `eigh` below dimension `_DENSE_BELOW`, Lanczos from there on.  The
     pair is checked on both paths: ||B psi - lambda psi|| above 1e-9 raises
@@ -396,8 +416,7 @@ def _top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
         value, vec = float(eigenvalues[-1]), vectors[:, -1]
     else:
         value, vec = _lanczos_top(matrix)
-    pivot = vec[int(np.argmax(np.abs(vec)))]
-    vec = vec * (pivot / abs(pivot)).conjugate()
+    vec = _fix_phase(vec)
     residual = float(np.linalg.norm(matrix @ vec - value * vec))
     if not residual <= _EIGEN_RESIDUAL_TOL:
         raise NumericalIntegrityError(
@@ -420,25 +439,45 @@ def max_eigenvalue(op: BellOperator) -> tuple[float, PureState]:
 # ---------------------------------------------------------------------------
 
 
-def _fields(w: np.ndarray, ops: np.ndarray, rho: np.ndarray, party: int) -> np.ndarray:
+def _correlations(rho: np.ndarray) -> np.ndarray:
+    """The full correlation tensor T[a_1..a_n] = Tr(rho sigma_a_1 (x) ... (x) sigma_a_n).
+
+    Shape (3,) * n, real.  The row and column bit of each qubit are
+    interleaved, and each such pair is contracted with the Paulis, one qubit at
+    a time.  An imaginary residue above 1e-8 in any entry raises
+    NumericalIntegrityError: rho was not Hermitian.
+    """
+    n = rho.shape[0].bit_length() - 1
+    pairs = [axis for k in range(n) for axis in (k, n + k)]
+    t = rho.reshape((2,) * (2 * n)).transpose(pairs).reshape(-1)
+    for _ in range(n):  # the leading qubit's pair becomes its trailing Pauli axis
+        t = t.reshape(4, -1).T @ _PAULI_PAIRS.T
+    residue = float(np.max(np.abs(t.imag)))
+    if residue > _IMAG_ERROR:
+        raise NumericalIntegrityError(
+            f"correlation tensor has imaginary residue {residue}, above {_IMAG_ERROR}"
+        )
+    return np.ascontiguousarray(t.real).reshape((3,) * n)
+
+
+def _fields(w: np.ndarray, vectors: np.ndarray, t: np.ndarray, party: int) -> np.ndarray:
     """Effective Bloch vectors of both settings of `party`, shape (2, 3).
 
     Every term holds exactly one setting of each party, so the expectation is
     g_0 . v_0 + g_1 . v_1, and neither field depends on either of the party's
-    own settings.  With F_s the fold over the other parties at setting s,
-    g_s[w] = Tr(rho (sigma_w (x) F_s)), sigma_w acting on `party`.
+    own settings.  In terms of the correlation tensor T of the state,
+    g_s[a] = sum over the others' settings s' and Pauli indices a' of
+    w[s, s'] T[a, a'] prod_k v_k[s'_k, a'_k]: T is contracted with every other
+    party's Bloch vectors, then with the coefficients.  One call costs O(3**n),
+    against the 4**n entries of the state.
     """
-    n = w.ndim
-    rest = _fold(w, ops, [j for j in range(n) if j != party])
-    high, low = 1 << party, 1 << (n - 1 - party)
-    # rho[(a x b), (c y d)] -> [(x y), (c d a b)], x and y the row and column of `party`
-    r = rho.reshape(high, 2, low, high, 2, low).transpose(1, 4, 3, 5, 0, 2).reshape(4, -1)
-    # k[x, y, s] = sum rho[a x b, c y d] F_s[c d, a b]
-    k = (r @ rest.reshape(2, -1).T).reshape(2, 2, 2)
-    g = np.einsum("xys,wyx->sw", k, _SIGMA)
-    return np.array(
-        [[_real_part(complex(c), "effective Bloch component") for c in row] for row in g]
-    )
+    # the others' Pauli axes in ascending order, then the party's; each
+    # contraction moves the leading axis to the back as that party's setting
+    m = np.moveaxis(t, party, -1).reshape(-1)
+    for k in range(w.ndim):
+        if k != party:
+            m = m.reshape(3, -1).T @ vectors[k].T
+    return np.moveaxis(w, party, 0).reshape(2, -1) @ m.reshape(3, -1).T
 
 
 def effective_bloch(
@@ -451,7 +490,8 @@ def effective_bloch(
         raise InvalidArgumentError(f"polynomial has {p.n} parties, state has {state.n}")
     if not 0 <= party < p.n:
         raise InvalidArgumentError(f"party index {party} out of range for n={p.n}")
-    fields = _fields(_coefficient_tensor(p), _pair_ops(f), _density(state), party)
+    t = _correlations(_density(state))
+    fields = _fields(_coefficient_tensor(p), _frame_vectors(f), t, party)
     return fields[1 if primed else 0]
 
 
@@ -520,19 +560,20 @@ class BlockProductResult:
 def _settings_sweep(
     w: np.ndarray,
     vectors: np.ndarray,
-    ops: np.ndarray,
     rho: np.ndarray,
     history: list[float] | None,
 ) -> tuple[float, np.ndarray]:
     """One exact coordinate-ascent pass over all 2n settings, updating in place.
 
     Returns the value after the pass and the Bell matrix of the updated
-    frame.  The value is tracked through the fields, g_0 . v_0 + g_1 . v_1,
-    and checked once against Re Tr(rho B) of a fresh fold.
+    frame.  The fields come from rho's correlation tensor, built once; the
+    value is tracked through them, g_0 . v_0 + g_1 . v_1, and checked once
+    against Re Tr(rho B) of a fresh fold, which shares no step with them.
     """
+    t = _correlations(rho)
     value = math.nan
     for j in range(w.ndim):
-        g = _fields(w, ops, rho, j)
+        g = _fields(w, vectors, t, j)
         for s in (0, 1):
             norm = float(np.linalg.norm(g[s]))
             if norm > 1e-14:
@@ -541,8 +582,7 @@ def _settings_sweep(
             value = float(g[0] @ vectors[j, 0] + g[1] @ vectors[j, 1])
             if history is not None:
                 history.append(value)
-        ops[j] = _ops_from_vectors(vectors[j])
-    matrix = _bell_matrix(w, ops)
+    matrix = _bell_matrix(w, _ops_from_vectors(vectors))
     fresh = _trace_product(rho, matrix)
     if abs(fresh - value) > _SWEEP_DRIFT_TOL:
         raise NumericalIntegrityError(
@@ -565,8 +605,7 @@ def _ascend(
     Returns the last swept value and the final frame's Bell matrix; `history`
     gets the start value Re Tr(rho_0 B_0), then 2n entries per sweep.
     """
-    ops = _ops_from_vectors(vectors)
-    matrix = _bell_matrix(w, ops)
+    matrix = _bell_matrix(w, _ops_from_vectors(vectors))
     rho = state_step(matrix)
     value = _trace_product(rho, matrix)
     if history is not None:
@@ -576,7 +615,7 @@ def _ascend(
             del rho  # hold one state at a time
             rho = state_step(matrix)
         before = value
-        value, matrix = _settings_sweep(w, vectors, ops, rho, history)
+        value, matrix = _settings_sweep(w, vectors, rho, history)
         if value - before < tol:
             break
     return value, matrix

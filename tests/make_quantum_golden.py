@@ -19,10 +19,16 @@ complex amplitudes as [re, im] pairs.
 Run from a checkout whose outputs are trusted:
 
     PYTHONPATH=src python3 tests/make_quantum_golden.py
+
+With --compare it writes nothing and prints, per record and search, how far
+this checkout's results lie from the stored ones: the value shift, the
+largest frame component shift, and |<old|new>| for each state (1 when a state
+moved only by a global phase).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
@@ -89,8 +95,38 @@ def case_record(kind: str, n: int) -> dict:
     }
 
 
+def _ket(stored: list[list[float]]) -> np.ndarray:
+    return np.array([complex(re, im) for re, im in stored])
+
+
+def compare(stored: dict, records: dict) -> list[str]:
+    """One line per record and search: value shift, largest frame shift, |<old|new>| per state."""
+    lines = []
+    for key, record in records.items():
+        for search, new in record.items():
+            old = stored[key][search]
+            frame = np.max(np.abs(np.array(new["frame"]) - np.array(old["frame"])))
+            overlaps = " ".join(
+                f"{abs(np.vdot(_ket(a), _ket(b))):.17g}"
+                for a, b in zip(old["states"], new["states"])
+            )
+            lines.append(
+                f"{key} {search}: value {new['value'] - old['value']:+.3g} "
+                f"frame {frame:.3g} |<old|new>| [{overlaps}]"
+            )
+    return lines
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--compare", action="store_true", help="print shifts against the stored file, write nothing"
+    )
+    args = parser.parse_args()
     records = {f"{kind}:{n}": case_record(kind, n) for kind, n in cases()}
+    if args.compare:
+        print("\n".join(compare(json.loads(GOLDEN_PATH.read_text()), records)))
+        return
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(records, sort_keys=True) + "\n")
 

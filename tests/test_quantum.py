@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import reduce
 from types import SimpleNamespace
@@ -59,6 +60,26 @@ def random_density(n: int, rng: np.random.Generator) -> DensityMatrix:
     weights = rng.dirichlet(np.ones(3))
     kets = [Q.random_state(n, rng).amplitudes for _ in weights]
     return DensityMatrix(n, sum(w * np.outer(k, k.conj()) for w, k in zip(weights, kets)))
+
+
+def fold_fields(w: np.ndarray, ops: np.ndarray, rho: np.ndarray, party: int) -> np.ndarray:
+    """Both fields of `party` from the fold over every other party, shape (2, 3).
+
+    The formula the correlation-tensor path replaced: with F_s the other
+    parties' operator at the party's setting s, g_s[a] = Tr(rho (sigma_a (x) F_s)),
+    sigma_a acting on `party`.
+    """
+    n = w.ndim
+    t = np.moveaxis(w, party, 0).reshape(2, -1, 1, 1)
+    for j in (j for j in range(n) if j != party):
+        dim = t.shape[-1]
+        t = t.reshape(2, 2, -1, dim, dim)
+        t = np.einsum("lsrac,sbd->lrabcd", t, ops[j]).reshape(2, -1, 2 * dim, 2 * dim)
+    high, low = 1 << party, 1 << (n - 1 - party)
+    # rho[(a x b), (c y d)] -> [(x y), (c d a b)], x and y the row and column of `party`
+    r = rho.reshape(high, 2, low, high, 2, low).transpose(1, 4, 3, 5, 0, 2).reshape(4, -1)
+    k = (r @ t.reshape(2, -1).T).reshape(2, 2, 2)
+    return np.einsum("xys,ayx->sa", k, Q._SIGMA).real
 
 
 class TestObservable:
@@ -230,9 +251,10 @@ def assert_top_pair_matches_eigh(matrix: np.ndarray) -> tuple[float, np.ndarray]
     eigs = np.linalg.eigvalsh(matrix)
     assert abs(value - eigs[-1]) <= 1e-12 * max(1.0, float(np.max(np.abs(eigs))))
     assert np.linalg.norm(matrix @ vec - value * vec) <= Q._EIGEN_RESIDUAL_TOL
-    # the pivot is an entry of largest modulus; ties are broken before the rotation
-    largest = vec[np.abs(vec) >= np.max(np.abs(vec)) - 1e-15]
-    assert np.any((np.abs(largest.imag) <= 1e-15) & (largest.real > 0))
+    # the pivot is the first entry within 1e-9 of the largest modulus
+    mods = np.abs(vec)
+    pivot = vec[np.argmax(mods >= mods.max() - 1e-9)]
+    assert abs(pivot.imag) <= 1e-15 and pivot.real > 0
     again, vec_again = Q._top_eigenpair(matrix)
     assert again == value and vec_again.tobytes() == vec.tobytes()
     return value, vec
@@ -293,12 +315,93 @@ class TestLanczos:
         with pytest.raises(NumericalIntegrityError, match=message):
             Q.quantum_max(P.mk(n), restarts=1, seed=0)
 
+    @pytest.mark.parametrize("larger", [2, 5])
+    def test_pivot_ignores_moduli_tied_up_to_rounding(self, larger):
+        vec = np.zeros(8, dtype=complex)
+        vec[0] = 0.2
+        vec[2] = 0.6 * np.exp(0.3j)
+        vec[5] = 0.6 * np.exp(-1.1j)
+        vec[larger] *= 1 + 1e-15  # two largest moduli 1e-15 apart, either way round
+        assert abs(abs(vec[2]) - abs(vec[5])) <= 2e-15
+        fixed = Q._fix_phase(vec)
+        assert abs(fixed[2].imag) <= 1e-15 and fixed[2].real > 0
+        assert np.angle(fixed[5]) == pytest.approx(-1.4, abs=1e-12)
+        assert np.abs(fixed) == pytest.approx(np.abs(vec), abs=1e-15)
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_quantum_max_is_repeatable_to_the_byte(self, seed):
         a = Q.quantum_max(P.mk(8), restarts=1, seed=seed)
         b = Q.quantum_max(P.mk(8), restarts=1, seed=seed)
         assert a.value == b.value and a.frame == b.frame
         assert a.state.amplitudes.tobytes() == b.state.amplitudes.tobytes()
+
+
+class TestNormCheck:
+    """From dimension 256 the operator norm is checked by Lanczos on B and -B."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["top", "bottom"])
+    def test_operator_above_the_limit_raises_at_n8(self, sign, monkeypatch):
+        p, rng = P.mk(8), np.random.default_rng(4)
+        frame = Q.random_frame(8, rng)
+        op = Q.bell_operator(p, frame)
+        e = Q.random_state(8, rng).amplitudes
+        tampered = op.entries + sign * 3 * float(P.algebraic_limit(p)) * np.outer(e, e.conj())
+
+        def no_eigvalsh(matrix):
+            raise AssertionError("the norm at dimension 256 must not need eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        Q.BellOperator(8, op.entries, (p, frame))
+        with pytest.raises(NumericalIntegrityError, match="exceeds the algebraic limit"):
+            Q.BellOperator(8, tampered, (p, frame))
+
+
+class TestCorrelations:
+    """The state's full correlation tensor and the effective fields read from it."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans())
+    def test_against_pauli_strings(self, n, seed, mixed):
+        rng = np.random.default_rng(seed)
+        state = random_density(n, rng) if mixed else Q.random_state(n, rng)
+        rho = Q._density(state)
+        t = Q._correlations(rho)
+        assert t.shape == (3,) * n and t.dtype == np.float64
+        for a in itertools.product(range(3), repeat=n):
+            string = reduce(np.kron, [Q._SIGMA[k] for k in a])
+            assert t[a] == pytest.approx(np.trace(rho @ string).real, abs=1e-12)
+
+    def test_non_hermitian_rho_is_an_integrity_error(self):
+        rho = Q._density(Q.random_state(3, np.random.default_rng(6))).copy()
+        rho[0, -1] += 1e-6
+        message = r"correlation tensor has imaginary residue \S+, above 1e-08"
+        with pytest.raises(NumericalIntegrityError, match=message):
+            Q._correlations(rho)
+        w = M._coefficient_tensor(P.mk(3))
+        vectors = Q._raw_random_vectors(3, np.random.default_rng(7))
+        with pytest.raises(NumericalIntegrityError, match=message):
+            Q._settings_sweep(w, vectors, rho, None)
+
+    @pytest.mark.parametrize(
+        "kind, n, mixed",
+        [("mk", 7, False), ("random", 7, True), ("svetlichny", 8, False), ("random", 8, True)],
+    )
+    def test_sweep_fields_match_the_fold(self, kind, n, mixed, monkeypatch):
+        rng = np.random.default_rng(n)
+        p = random_dyadic_polynomial(n, rng) if kind == "random" else getattr(P, kind)(n)
+        rho = Q._density(random_density(n, rng) if mixed else Q.random_state(n, rng))
+        w, vectors = M._coefficient_tensor(p), Q._raw_random_vectors(n, rng)
+        fields, errors = Q._fields, []
+
+        def checked(w, vectors, t, party):
+            g = fields(w, vectors, t, party)
+            want = fold_fields(w, Q._ops_from_vectors(vectors), rho, party)
+            errors.append(float(np.max(np.abs(g - want))) / max(1.0, float(np.max(np.abs(want)))))
+            return g
+
+        monkeypatch.setattr(Q, "_fields", checked)
+        Q._settings_sweep(w, vectors, rho, None)
+        assert len(errors) == n and max(errors) < 1e-12
 
 
 class TestEffectiveBloch:

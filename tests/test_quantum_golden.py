@@ -1,9 +1,11 @@
-"""Quantum searches at n = 3..6 against records taken before the Lanczos solver.
+"""Quantum searches at n = 3..6 against stored records.
 
 tests/data/quantum_golden.json holds, per polynomial, the value, frame and
 states of quantum_max, seesaw (pure and mixed) and block_product_max.  All of
 them run on dense eigh, so values must agree to 1e-12 and every frame and
-state entry likewise.  tests/make_quantum_golden.py regenerates it.
+state entry likewise.  Each record also verifies itself on the dense oracle:
+its stored value is the expectation of its stored frame on its state.
+tests/make_quantum_golden.py regenerates it.
 """
 
 from __future__ import annotations
@@ -13,13 +15,49 @@ import json
 import numpy as np
 import pytest
 
-from make_quantum_golden import GOLDEN_PATH, case_record, cases
+from make_quantum_golden import GOLDEN_PATH, case_record, cases, noisy_ghz, polynomial
+
+from bellpoly import quantum as Q
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 
+def _frame(settings) -> Q.MeasurementFrame:
+    return Q.MeasurementFrame(
+        tuple((Q.UnitVector(*v), Q.UnitVector(*w)) for v, w in settings)
+    )
+
+
+def _amplitudes(stored) -> np.ndarray:
+    return np.array([complex(re, im) for re, im in stored])
+
+
 def test_fixture_covers_every_case():
     assert sorted(GOLDEN) == sorted(f"{kind}:{n}" for kind, n in cases())
+
+
+@pytest.mark.parametrize("kind, n", cases())
+def test_record_verifies_itself(kind, n):
+    """Every stored value is Re Tr(rho B) of its stored frame on its state, to 1e-12."""
+    p = polynomial(kind, n)
+    stored = GOLDEN[f"{kind}:{n}"]
+    top = stored["quantum_max"]
+    psi = _amplitudes(top["states"][0])
+    # block_product_max splits off the first ceil(n/2) parties, so the kron is in qubit order
+    blocks = [_amplitudes(s) for s in stored["block_product_max"]["states"]]
+    states = {
+        "quantum_max": Q.PureState(n, psi),
+        "seesaw_pure": Q.ghz(n),
+        "seesaw_mixed": noisy_ghz(n),
+        "block_product_max": Q.PureState(n, np.kron(*blocks)),
+    }
+    assert sorted(states) == sorted(stored)
+    for search, state in states.items():
+        op = Q.bell_operator(p, _frame(stored[search]["frame"]))
+        value = stored[search]["value"]
+        assert Q.expectation(op, state) == pytest.approx(value, abs=1e-12), search
+    op = Q.bell_operator(p, _frame(top["frame"]))
+    assert np.linalg.norm(op.entries @ psi - top["value"] * psi) <= 1e-9
 
 
 @pytest.mark.parametrize("kind, n", cases())
