@@ -39,7 +39,7 @@ from .errors import (
     NumericalIntegrityError,
     ResourceLimitError,
 )
-from .polynomial import DyadicCoefficient, Polynomial
+from .polynomial import DyadicCoefficient, Polynomial, _by_mask, _scaled_numerators
 
 __all__ = [
     "LocalStrategy",
@@ -260,14 +260,14 @@ def evaluate_local(p: Polynomial, s: LocalStrategy) -> float:
 
 def _flat_index(p: Polynomial) -> np.ndarray:
     """Each term's C-order index into the (2,) * n tensor: party 0's bit is the most significant."""
-    masks = np.array([term.prime_mask for term in p.terms], dtype=np.int64)
+    masks = np.fromiter(_by_mask(p), dtype=np.int64, count=len(p.terms))
     return sum(((masks >> j) & 1) << (p.n - 1 - j) for j in range(p.n))
 
 
 def _coefficient_tensor(p: Polynomial) -> np.ndarray:
     """Shape (2,) * n; axis j is party j's setting (0 plain, 1 primed)."""
     w = np.zeros(1 << p.n)
-    w[_flat_index(p)] = [float(coef) for coef in p.terms.values()]
+    w[_flat_index(p)] = [float(coef) for coef in _by_mask(p).values()]
     return w.reshape((2,) * p.n)
 
 
@@ -278,8 +278,7 @@ def _scaled_tensor(p: Polynomial) -> tuple[np.ndarray, int]:
     no sum of them with signs can wrap, and an object array of Python ints
     otherwise.
     """
-    k = max((coef.log2_denominator for coef in p.terms.values()), default=0)
-    scaled = [coef.numerator << (k - coef.log2_denominator) for coef in p.terms.values()]
+    scaled, k = _scaled_numerators(p)
     dtype = np.int64 if sum(map(abs, scaled)) < 1 << 62 else object
     w = np.zeros(1 << p.n, dtype=dtype)
     w[_flat_index(p)] = scaled

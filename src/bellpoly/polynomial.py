@@ -43,6 +43,11 @@ __all__ = [
 ]
 
 
+def _check_party_count(n: int) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise InvalidArgumentError(f"party count must be a positive integer, got {n!r}")
+
+
 @dataclass(frozen=True, order=True)
 class Term:
     """One correlation coefficient: which parties use their primed setting."""
@@ -51,8 +56,7 @@ class Term:
     prime_mask: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InvalidArgumentError(f"party count must be a positive integer, got {self.n!r}")
+        _check_party_count(self.n)
         if not isinstance(self.prime_mask, int) or not 0 <= self.prime_mask < (1 << self.n):
             raise InvalidArgumentError(
                 f"prime_mask must lie in [0, 2^{self.n}), got {self.prime_mask!r}"
@@ -66,9 +70,12 @@ class Term:
 
     def label(self) -> str:
         """1-based text form, e.g. "A1 A2' A3"."""
-        return " ".join(
-            f"A{j + 1}'" if self.primed(j) else f"A{j + 1}" for j in range(self.n)
-        )
+        return _label(self.n, self.prime_mask)
+
+
+def _label(n: int, mask: int) -> str:
+    """The 1-based text form of prime mask `mask` over n parties, read off its bits."""
+    return " ".join([f"A{j}'" if mask >> (j - 1) & 1 else f"A{j}" for j in range(1, n + 1)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +98,11 @@ class DyadicCoefficient:
             raise InvalidArgumentError("log2_denominator must be non-negative")
         if num == 0:
             k = 0
-        else:
-            while k > 0 and num % 2 == 0:
-                num //= 2
-                k -= 1
+        elif k and not num & 1:
+            # strip the trailing zero bits of num, at most k of them
+            shift = min(k, (num & -num).bit_length() - 1)
+            num >>= shift
+            k -= shift
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "log2_denominator", k)
 
@@ -213,22 +221,76 @@ DyadicLike = Union[DyadicCoefficient, int, float]
 ZERO = DyadicCoefficient(0)
 
 
+class _TermView(Mapping):
+    """Read-only {Term: coefficient} view over a polynomial's {prime mask: coefficient} dict.
+
+    Lookups, `len` and `values()` read the mask dict.  The Term keys are made
+    the first time the view is iterated (`iter`, `keys()`, `items()`) and kept.
+    """
+
+    __slots__ = ("_n", "_by_mask", "_by_term")
+
+    def __init__(self, n: int, by_mask: dict[int, DyadicCoefficient]) -> None:
+        self._n = n
+        self._by_mask = MappingProxyType(by_mask)
+        self._by_term: dict[Term, DyadicCoefficient] | None = None
+
+    def _terms(self) -> dict[Term, DyadicCoefficient]:
+        if self._by_term is None:
+            self._by_term = {Term(self._n, m): c for m, c in self._by_mask.items()}
+        return self._by_term
+
+    def __getitem__(self, term: Term) -> DyadicCoefficient:
+        if isinstance(term, Term) and term.n == self._n and term.prime_mask in self._by_mask:
+            return self._by_mask[term.prime_mask]
+        raise KeyError(term)
+
+    def __len__(self) -> int:
+        return len(self._by_mask)
+
+    def __iter__(self) -> Iterator[Term]:
+        return iter(self._terms())
+
+    def keys(self):
+        return self._terms().keys()
+
+    def items(self):
+        return self._terms().items()
+
+    def values(self):
+        return self._by_mask.values()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _TermView):
+            # empty views are equal whatever their party counts, as empty dicts are
+            return self._by_mask == other._by_mask and (self._n == other._n or not self)
+        return self._terms() == other
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._terms()!r})"
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """A signed dyadic combination of Terms, all sharing the same party count.
 
-    Zero coefficients are never stored; the empty polynomial is legal.
+    Zero coefficients are never stored; the empty polynomial is legal.  The
+    coefficients are stored once, in a dict keyed by prime mask in ascending
+    order.  `terms` is a read-only Mapping[Term, DyadicCoefficient] view of
+    that dict: lookups need no Term objects, and its Term keys are made once,
+    the first time it is iterated, and then kept with the polynomial.
     """
 
     n: int
     terms: Mapping[Term, DyadicCoefficient]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InvalidArgumentError(f"party count must be a positive integer, got {self.n!r}")
-        clean: dict[Term, DyadicCoefficient] = {}
-        for term in sorted(self.terms, key=lambda t: t.prime_mask):
-            coef = self.terms[term]
+        terms = self.terms
+        if isinstance(terms, _TermView) and terms._n == self.n:
+            return  # checked when the view was made
+        _check_party_count(self.n)
+        by_mask: dict[int, DyadicCoefficient] = {}
+        for term, coef in sorted(terms.items(), key=lambda item: item[0].prime_mask):
             if term.n != self.n:
                 raise InvalidArgumentError(
                     f"term {term.label()} has n={term.n}, polynomial has n={self.n}"
@@ -237,19 +299,42 @@ class Polynomial:
                 raise InvalidArgumentError("coefficients must be DyadicCoefficient")
             if coef.numerator == 0:
                 raise InvalidArgumentError("zero coefficients must not be stored")
-            clean[term] = coef
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+            by_mask[term.prime_mask] = coef
+        object.__setattr__(self, "terms", _TermView(self.n, by_mask))
 
     def coefficient(self, term: Term) -> DyadicCoefficient:
         return self.terms.get(term, ZERO)
 
 
 def _build(n: int, masks: Mapping[int, DyadicCoefficient]) -> Polynomial:
-    return Polynomial(n, {Term(n, m): c for m, c in masks.items() if c.numerator != 0})
+    """The polynomial with coefficient masks[m] on prime mask m; zero coefficients are dropped."""
+    _check_party_count(n)
+    end = 1 << n
+    by_mask: dict[int, DyadicCoefficient] = {}
+    for m, coef in masks.items():
+        if not isinstance(coef, DyadicCoefficient):
+            raise InvalidArgumentError("coefficients must be DyadicCoefficient")
+        if coef.numerator == 0:
+            continue
+        if not isinstance(m, int) or not 0 <= m < end:
+            raise InvalidArgumentError(f"prime_mask must lie in [0, 2^{n}), got {m!r}")
+        by_mask[m] = coef
+    ascending = sorted(by_mask)
+    if ascending != list(by_mask):
+        by_mask = {m: by_mask[m] for m in ascending}
+    return Polynomial(n, _TermView(n, by_mask))
 
 
-def _mask_items(p: Polynomial):
-    return ((t.prime_mask, c) for t, c in p.terms.items())
+def _by_mask(p: Polynomial) -> Mapping[int, DyadicCoefficient]:
+    """p's coefficients keyed by prime mask, ascending; read-only."""
+    return p.terms._by_mask
+
+
+def _scaled_numerators(p: Polynomial) -> tuple[list[int], int]:
+    """([c * 2**K for each coefficient c, in mask order], K), K the largest log2 denominator."""
+    coefs = _by_mask(p).values()
+    k = max((c.log2_denominator for c in coefs), default=0)
+    return [c.numerator << (k - c.log2_denominator) for c in coefs], k
 
 
 @dataclass(frozen=True)
@@ -260,8 +345,7 @@ class CorrelationVector:
     values: Mapping[Term, float]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InvalidArgumentError(f"party count must be a positive integer, got {self.n!r}")
+        _check_party_count(self.n)
         clean: dict[Term, float] = {}
         for term in sorted(self.values, key=lambda t: t.prime_mask):
             v = float(self.values[term])
@@ -322,7 +406,7 @@ def mk(n: int) -> Polynomial:
 def prime_flip(p: Polynomial) -> Polynomial:
     """Swap every party's primed and unprimed setting (an involution)."""
     full = (1 << p.n) - 1
-    return _build(p.n, {mask ^ full: c for mask, c in _mask_items(p)})
+    return _build(p.n, {mask ^ full: c for mask, c in _by_mask(p).items()})
 
 
 def svetlichny(n: int) -> Polynomial:
@@ -357,7 +441,7 @@ def combine(
     for poly, w in ((p, a), (q, b)):
         if w.numerator == 0:
             continue
-        for mask, c in _mask_items(poly):
+        for mask, c in _by_mask(poly).items():
             acc = out.get(mask, ZERO) + w * c
             if acc.numerator == 0:
                 out.pop(mask, None)
@@ -369,8 +453,8 @@ def combine(
 def tensor_product(p: Polynomial, q: Polynomial) -> Polynomial:
     """Concatenate party lists: q's parties are relabeled to follow p's."""
     out: dict[int, DyadicCoefficient] = {}
-    for mp, cp in _mask_items(p):
-        for mq, cq in _mask_items(q):
+    for mp, cp in _by_mask(p).items():
+        for mq, cq in _by_mask(q).items():
             out[mp | (mq << p.n)] = cp * cq
     return _build(p.n + q.n, out)
 
@@ -382,10 +466,8 @@ def tensor_product(p: Polynomial, q: Polynomial) -> Polynomial:
 
 def algebraic_limit(p: Polynomial) -> DyadicCoefficient:
     """Unconstrained maximum: the exact sum of absolute coefficient values."""
-    total = ZERO
-    for c in p.terms.values():
-        total = total + abs(c)
-    return total
+    scaled, k = _scaled_numerators(p)
+    return DyadicCoefficient(sum(map(abs, scaled)), k)
 
 
 def support_size(p: Polynomial) -> int:
@@ -400,14 +482,16 @@ def evaluate(p: Polynomial, c: CorrelationVector | Mapping[Term, float]) -> floa
             f"correlation vector is for {c.n} parties, polynomial for {p.n}"
         )
     values = c.values if isinstance(c, CorrelationVector) else c
-    missing = [t for t in p.terms if t not in values]
+    by_mask = {t.prime_mask: v for t, v in values.items() if isinstance(t, Term) and t.n == p.n}
+    coefs = _by_mask(p)
+    missing = [m for m in coefs if m not in by_mask]
     if missing:
-        labels = ", ".join(t.label() for t in missing)
+        labels = ", ".join(_label(p.n, m) for m in missing)
         raise IncompleteDataError(
             f"correlation data is missing {len(missing)} term(s): {labels}",
-            missing=tuple(missing),
+            missing=tuple(Term(p.n, m) for m in missing),
         )
-    return sum(float(coef) * float(values[t]) for t, coef in p.terms.items())
+    return sum(float(coef) * float(by_mask[m]) for m, coef in coefs.items())
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +504,11 @@ _PARTY_RE = re.compile(r"^A(\d+)(')?$")
 
 def to_text(p: Polynomial) -> str:
     """One term per line, masks ascending: `+1/2^1 * A1 A2'` etc."""
-    lines = []
-    for term, coef in p.terms.items():
-        sign = "+" if coef.numerator > 0 else "-"
-        lines.append(
-            f"{sign}{abs(coef.numerator)}/2^{coef.log2_denominator} * {term.label()}"
-        )
-    return "\n".join(lines)
+    return "\n".join(
+        f"{'+' if c.numerator > 0 else '-'}{abs(c.numerator)}/2^{c.log2_denominator}"
+        f" * {_label(p.n, mask)}"
+        for mask, c in _by_mask(p).items()
+    )
 
 
 def from_text(text: str, n: int | None = None) -> Polynomial:
@@ -475,7 +557,7 @@ def from_text(text: str, n: int | None = None) -> Polynomial:
 
 
 def token_label(n: int, mask: int) -> str:
-    return Term(n, mask).label()
+    return _label(n, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +611,11 @@ def to_dict(p: Polynomial) -> dict:
         "n": p.n,
         "terms": [
             {
-                "prime_mask": t.prime_mask,
+                "prime_mask": mask,
                 "numerator": c.numerator,
                 "log2_denominator": c.log2_denominator,
             }
-            for t, c in p.terms.items()
+            for mask, c in _by_mask(p).items()
         ],
     }
 

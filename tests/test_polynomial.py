@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from bellpoly import models as M
 from bellpoly import polynomial as P
 from bellpoly.errors import DataFormatError, IncompleteDataError, InvalidArgumentError
 from bellpoly.polynomial import DyadicCoefficient, Polynomial, Term
@@ -97,6 +98,17 @@ class TestDyadic:
     def test_negative_denominator_rejected(self):
         with pytest.raises(InvalidArgumentError):
             DyadicCoefficient(1, -1)
+
+    @given(st.integers(-(10**6), 10**6), st.integers(0, 1500), st.integers(0, 1500))
+    def test_canonical_form_matches_halving(self, base, zeros, k):
+        num = base << zeros
+        # reference: halve while the exponent allows and the numerator is even
+        expected_num, expected_k = num, 0 if num == 0 else k
+        while expected_num and expected_k > 0 and expected_num % 2 == 0:
+            expected_num //= 2
+            expected_k -= 1
+        d = DyadicCoefficient(num, k)
+        assert (d.numerator, d.log2_denominator) == (expected_num, expected_k)
 
 
 # ---------------------------------------------------------------------------
@@ -450,3 +462,163 @@ class TestTypes:
         empty = Polynomial(3, {})
         assert P.algebraic_limit(empty) == 0
         assert P.support_size(empty) == 0
+
+
+# ---------------------------------------------------------------------------
+# Mask-keyed storage and the Term view
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def terms_made(monkeypatch):
+    """Every Term constructed while the test runs, in order."""
+    made = []
+    check = Term.__post_init__
+
+    def counting(term):
+        check(term)
+        made.append(term)
+
+    monkeypatch.setattr(Term, "__post_init__", counting)
+    return made
+
+
+@st.composite
+def mask_dicts(draw):
+    n = draw(st.integers(1, 6))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=1 << n))
+    coefs = draw(
+        st.lists(
+            st.builds(DyadicCoefficient, st.integers(-99, 99).filter(bool), st.integers(0, 6)),
+            min_size=len(masks),
+            max_size=len(masks),
+        )
+    )
+    return n, dict(zip(masks, coefs))
+
+
+ONE = DyadicCoefficient(1)
+BAD = InvalidArgumentError
+
+
+class TestTermView:
+    def test_library_paths_make_no_terms(self, terms_made):
+        P.mk.cache_clear()
+        polys = [P.mk(12), P.svetlichny(11), P.svetlichny_minus(11)]
+        M.local_bound(P.mk(10))
+        M.hybrid_bound_all(P.svetlichny(8))
+        for p in polys:
+            P.algebraic_limit(p)
+            P.to_dict(p)
+            P.to_text(p)
+            M._coefficient_tensor(p)
+            P.combine(p, P.prime_flip(p), HALF, HALF)
+        P.tensor_product(P.mk(3), P.svetlichny(4))
+        P.mk.cache_clear()
+        assert terms_made == []
+
+    def test_lookups_make_no_terms(self, terms_made):
+        p = P.svetlichny(5)
+        probe = Term(5, 3)
+        del terms_made[:]
+        eighth = DyadicCoefficient(1, 3)
+        assert p.terms[probe] == p.terms.get(probe) == p.coefficient(probe) == eighth
+        assert probe in p.terms and len(p.terms) == 32 and p.terms
+        assert p == P.svetlichny(5) and p.terms == P.svetlichny(5).terms
+        assert terms_made == []
+
+    def test_iterating_twice_makes_each_term_once(self, terms_made):
+        p = P.svetlichny(5)
+        first = list(p.terms)
+        second = list(p.terms.items())
+        assert len(terms_made) == len(p.terms) == 32
+        assert first == [t for t, _ in second] == terms_made
+        assert [t.prime_mask for t in first] == list(range(32))
+
+    @given(mask_dicts())
+    def test_every_construction_path_agrees(self, case):
+        n, masks = case
+        by_terms = Polynomial(n, {Term(n, m): c for m, c in masks.items()})
+        expected = [(Term(n, m), masks[m]) for m in sorted(masks)]
+        for p in (
+            by_terms,
+            P._build(n, masks),
+            P.from_dict(P.to_dict(by_terms)),
+            P.from_text(P.to_text(by_terms), n),
+        ):
+            assert p == by_terms
+            assert list(p.terms.items()) == expected
+            assert all(type(c) is DyadicCoefficient for c in p.terms.values())
+
+    @pytest.mark.parametrize(
+        ("make", "error", "message"),
+        [
+            (lambda: P._build(2, {4: ONE}), BAD, "prime_mask must lie in [0, 2^2), got 4"),
+            (
+                lambda: P.from_dict({"n": 2, "terms": [
+                    {"prime_mask": -1, "numerator": 1, "log2_denominator": 0}
+                ]}),
+                BAD,
+                "prime_mask must lie in [0, 2^2), got -1",
+            ),
+            (
+                lambda: Polynomial(2, {Term(3, 5): ONE}),
+                BAD,
+                "term A1' A2 A3' has n=3, polynomial has n=2",
+            ),
+            (
+                lambda: Polynomial(1, {Term(1, 0): DyadicCoefficient(0)}),
+                BAD,
+                "zero coefficients must not be stored",
+            ),
+            (
+                lambda: P.from_text("+0/2^0 * A1"),
+                DataFormatError,
+                "line 1: zero coefficients are not allowed",
+            ),
+            (lambda: Polynomial(1, {Term(1, 0): 0.5}), BAD, "coefficients must be DyadicCoefficient"),
+            (lambda: Polynomial(1, {Term(1, 0): 1}), BAD, "coefficients must be DyadicCoefficient"),
+            (
+                lambda: P.from_text("+1/3 * A1"),
+                DataFormatError,
+                "line 1: not a polynomial term: '+1/3 * A1'",
+            ),
+            (lambda: Polynomial(0, {}), BAD, "party count must be a positive integer, got 0"),
+            (lambda: P._build(0, {0: ONE}), BAD, "party count must be a positive integer, got 0"),
+            (
+                lambda: P.from_dict({"n": -1, "terms": []}),
+                BAD,
+                "party count must be a positive integer, got -1",
+            ),
+        ],
+    )
+    def test_bad_input_errors(self, make, error, message):
+        with pytest.raises(error) as err:
+            make()
+        assert type(err.value) is error and str(err.value) == message
+
+    def test_zero_coefficients_dropped_by_structured_input(self):
+        data = {"n": 1, "terms": [{"prime_mask": 1, "numerator": 0, "log2_denominator": 3}]}
+        assert P.from_dict(data) == Polynomial(1, {})
+
+    @pytest.mark.parametrize("absent", [Term(2, 1), Term(3, 0), "A1 A2'", 1])
+    def test_absent_keys(self, absent):
+        p = P.mk(3)
+        with pytest.raises(KeyError):
+            p.terms[absent]
+        assert p.terms.get(absent, "default") == "default"
+        assert absent not in p.terms
+        if isinstance(absent, Term):
+            assert p.coefficient(absent) is P.ZERO
+
+    def test_view_equality_follows_the_term_keys(self):
+        one, two = Polynomial(1, {Term(1, 0): ONE}), Polynomial(2, {Term(2, 0): ONE})
+        assert one.terms != two.terms and one != two
+        assert one.terms == {Term(1, 0): ONE} != two.terms
+        assert Polynomial(1, {}).terms == Polynomial(2, {}).terms == {}
+
+    def test_view_is_read_only(self):
+        p = P.mk(2)
+        with pytest.raises(TypeError):
+            p.terms[Term(2, 0)] = ONE  # type: ignore[index]
+        assert not hasattr(p.terms, "pop")
