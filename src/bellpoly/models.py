@@ -14,9 +14,9 @@ scripts are the extreme points and the maximum over them is the model bound.
 
 Both enumerations run on the coefficients scaled to integers at the common
 denominator 2**K (K the largest log2 denominator), so every objective value
-is an exact integer sum and a bound is that integer over 2**K.  The arrays
-are int64 while the coefficients' absolute sum stays below 2**62, which no
-signed partial sum can then exceed, and Python ints (object dtype) beyond.
+is an exact integer sum and a bound is that integer over 2**K.  That scaled
+tensor comes from polynomial._scaled_tensor, which owns the rule for its
+dtype: int64 while no signed partial sum can wrap, Python ints beyond.
 Every returned witness is re-summed by a second integer contraction, the
 same one through which evaluate_local and evaluate_hybrid compute a value,
 so a witness evaluates to exactly its bound.
@@ -39,7 +39,7 @@ from .errors import (
     NumericalIntegrityError,
     ResourceLimitError,
 )
-from .polynomial import DyadicCoefficient, Polynomial, _by_mask, _scaled_numerators
+from .polynomial import DyadicCoefficient, Polynomial, _scaled_tensor
 
 __all__ = [
     "LocalStrategy",
@@ -99,10 +99,6 @@ class LocalStrategy:
         return {"type": "local", "settings": [list(pair) for pair in self.settings]}
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 @dataclass(frozen=True)
 class Bipartition:
     """A split of the n parties into two nonempty complementary blocks.
@@ -124,7 +120,7 @@ class Bipartition:
             raise InvalidArgumentError(
                 f"block A must be a nonempty proper subset, got mask {mask!r}"
             )
-        size_a = _popcount(mask)
+        size_a = mask.bit_count()
         size_b = self.n - size_a
         if size_a > size_b or (size_a == size_b and not mask & 1):
             mask ^= full
@@ -149,12 +145,14 @@ class Bipartition:
             a_part, b_part = text.strip().split("|")
             if not a_part.startswith("A=") or not b_part.startswith("B="):
                 raise ValueError("expected A=...|B=...")
-            a = {int(x) for x in a_part[2:].split(",") if x}
-            b = {int(x) for x in b_part[2:].split(",") if x}
+            listed = [[int(x) for x in part[2:].split(",") if x] for part in (a_part, b_part)]
         except ValueError as exc:
             raise DataFormatError(f"cannot parse bipartition {text!r}: {exc}") from exc
+        a, b = (set(block) for block in listed)
         if not a or not b:
             raise DataFormatError(f"both blocks must be nonempty in {text!r}")
+        if len(a) + len(b) != sum(map(len, listed)):
+            raise DataFormatError(f"a block lists a party twice in {text!r}")
         if a & b:
             raise DataFormatError(f"blocks overlap in {text!r}")
         n = len(a) + len(b)
@@ -237,6 +235,12 @@ class BoundResult:
         }
 
 
+def _bound(model: str, total: int, k: int, witness: LocalStrategy | HybridWitness) -> BoundResult:
+    """The `model` bound total / 2**k, attained by `witness`."""
+    value_exact = DyadicCoefficient(total, k)
+    return BoundResult(model, float(value_exact), value_exact, witness)
+
+
 def _extract_bits(mask: int, parties: tuple[int, ...]) -> int:
     idx = 0
     for pos, party in enumerate(parties):
@@ -256,33 +260,6 @@ def evaluate_local(p: Polynomial, s: LocalStrategy) -> float:
         raise InvalidArgumentError(f"strategy has {s.n} parties, polynomial has {p.n}")
     tensor, k = _scaled_tensor(p)
     return float(DyadicCoefficient(_local_sum(tensor, s.settings), k))
-
-
-def _flat_index(p: Polynomial) -> np.ndarray:
-    """Each term's C-order index into the (2,) * n tensor: party 0's bit is the most significant."""
-    masks = np.fromiter(_by_mask(p), dtype=np.int64, count=len(p.terms))
-    return sum(((masks >> j) & 1) << (p.n - 1 - j) for j in range(p.n))
-
-
-def _coefficient_tensor(p: Polynomial) -> np.ndarray:
-    """Shape (2,) * n; axis j is party j's setting (0 plain, 1 primed)."""
-    w = np.zeros(1 << p.n)
-    w[_flat_index(p)] = [float(coef) for coef in _by_mask(p).values()]
-    return w.reshape((2,) * p.n)
-
-
-def _scaled_tensor(p: Polynomial) -> tuple[np.ndarray, int]:
-    """(T, K): the coefficient tensor times 2**K as exact integers, K the largest log2 denominator.
-
-    T is int64 when the scaled coefficients' absolute sum is below 2**62, so
-    no sum of them with signs can wrap, and an object array of Python ints
-    otherwise.
-    """
-    scaled, k = _scaled_numerators(p)
-    dtype = np.int64 if sum(map(abs, scaled)) < 1 << 62 else object
-    w = np.zeros(1 << p.n, dtype=dtype)
-    w[_flat_index(p)] = scaled
-    return w.reshape((2,) * p.n), k
 
 
 def _local_sum(tensor: np.ndarray, settings) -> int:
@@ -321,10 +298,7 @@ def local_bound(p: Polynomial, *, cap: int = DEFAULT_LOCAL_CAP) -> BoundResult:
             f"local bound: the enumeration found {flat[best]} but its witness "
             f"re-sums to {resummed}"
         )
-    value_exact = DyadicCoefficient(resummed, k)
-    return BoundResult(
-        model="local", value=float(value_exact), value_exact=value_exact, witness=witness
-    )
+    return _bound("local", resummed, k, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +310,9 @@ def bipartitions(n: int) -> tuple[Bipartition, ...]:
     """All canonical bipartitions of n parties; there are 2**(n-1) - 1 of them."""
     if not isinstance(n, int) or n < 2:
         raise InvalidArgumentError(f"bipartitions need n >= 2 parties, got {n!r}")
-    full = (1 << n) - 1
-    found = []
-    for mask in range(1, full):
-        size = _popcount(mask)
-        if 2 * size < n or (2 * size == n and mask & 1):
-            found.append(Bipartition(n, mask))
-    found.sort(key=lambda bp: (_popcount(bp.block_a_mask), bp.block_a_mask))
+    # every split has exactly one block without party n; the constructor canonicalises it
+    found = [Bipartition(n, mask) for mask in range(1, 1 << (n - 1))]
+    found.sort(key=lambda bp: (bp.block_a_mask.bit_count(), bp.block_a_mask))
     return tuple(found)
 
 
@@ -375,16 +345,13 @@ def _doubling_table(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _halved_chunks(coef: np.ndarray):
     """The block-B effective rows of every A strategy with tuple 0 at +1, in order.
 
-    One chunk when the whole table has at most 2**_CHUNK_LOG2 entries.
-    Otherwise a suffix table of that size covers the last tuples, and each
-    chunk is one row of the prefix table (the leading tuples) plus it.
+    A suffix table of at most 2**_CHUNK_LOG2 entries covers the last tuples,
+    and each chunk is one row of the prefix table (the leading tuples) plus
+    it; with no leading tuples the one chunk is the whole table.
     """
     free = coef.shape[0] - 1
     suffix_log2 = max(_CHUNK_LOG2 - (coef.shape[1].bit_length() - 1), 0)
     split = max(free - suffix_log2, 0)
-    if not split:
-        yield _doubling_table(coef[0], coef[1:])
-        return
     suffix = _doubling_table(np.zeros_like(coef[0]), coef[1 + split :])
     for row in _doubling_table(coef[0], coef[1 : 1 + split]):
         yield row + suffix
@@ -473,10 +440,7 @@ def _hybrid_bound(
             f"hybrid bound {partition.to_text()}: the scan found {best} but its "
             f"witness re-sums to {resummed}"
         )
-    value_exact = DyadicCoefficient(best, k)
-    return BoundResult(
-        model="hybrid", value=float(value_exact), value_exact=value_exact, witness=witness
-    )
+    return _bound("hybrid", best, k, witness)
 
 
 def brute_hybrid_bound(
@@ -503,15 +467,12 @@ def brute_hybrid_bound(
     table = signs_a @ coef @ signs_b.T
     flat = int(np.argmax(table))
     ia, ib = divmod(flat, table.shape[1])
-    value_exact = DyadicCoefficient(int(table[ia, ib]), k)
     witness = HybridWitness(
         partition=partition,
         block_a=BlockStrategy(a, tuple(signs_a[ia].tolist())),
         block_b=BlockStrategy(b, tuple(signs_b[ib].tolist())),
     )
-    return BoundResult(
-        model="hybrid", value=float(value_exact), value_exact=value_exact, witness=witness
-    )
+    return _bound("hybrid", int(table[ia, ib]), k, witness)
 
 
 def evaluate_hybrid(

@@ -7,6 +7,11 @@ polynomial is evaluated against numeric correlation data.
 
 Party indices are 0-based inside the library and 1-based in every text form
 (A1, A2', ...).
+
+This module alone reads a polynomial's {prime mask: coefficient} store: every
+constructor hands `_build` a fresh dict to check and keep, and the coefficient
+tensors of the other modules are built here, `_coefficient_tensor` (float64)
+for quantum and `_scaled_tensor` for models, which owns the int64/object rule.
 """
 
 from __future__ import annotations
@@ -287,38 +292,36 @@ class Polynomial:
     def __post_init__(self) -> None:
         terms = self.terms
         if isinstance(terms, _TermView) and terms._n == self.n:
-            return  # checked when the view was made
-        _check_party_count(self.n)
+            return  # checked by _build
         by_mask: dict[int, DyadicCoefficient] = {}
-        for term, coef in sorted(terms.items(), key=lambda item: item[0].prime_mask):
+        for term, coef in terms.items():
+            if not isinstance(term, Term):
+                raise InvalidArgumentError(f"polynomial keys must be Term, got {term!r}")
             if term.n != self.n:
                 raise InvalidArgumentError(
                     f"term {term.label()} has n={term.n}, polynomial has n={self.n}"
                 )
-            if not isinstance(coef, DyadicCoefficient):
-                raise InvalidArgumentError("coefficients must be DyadicCoefficient")
-            if coef.numerator == 0:
-                raise InvalidArgumentError("zero coefficients must not be stored")
             by_mask[term.prime_mask] = coef
-        object.__setattr__(self, "terms", _TermView(self.n, by_mask))
+        object.__setattr__(self, "terms", _build(self.n, by_mask).terms)
 
     def coefficient(self, term: Term) -> DyadicCoefficient:
         return self.terms.get(term, ZERO)
 
 
-def _build(n: int, masks: Mapping[int, DyadicCoefficient]) -> Polynomial:
-    """The polynomial with coefficient masks[m] on prime mask m; zero coefficients are dropped."""
+def _build(n: int, by_mask: dict[int, DyadicCoefficient]) -> Polynomial:
+    """The polynomial with coefficient by_mask[m] on prime mask m; every entry path ends here.
+
+    `by_mask` must be a fresh dict: it is checked and kept, re-ordered only if not ascending.
+    """
     _check_party_count(n)
     end = 1 << n
-    by_mask: dict[int, DyadicCoefficient] = {}
-    for m, coef in masks.items():
+    for m, coef in by_mask.items():
         if not isinstance(coef, DyadicCoefficient):
             raise InvalidArgumentError("coefficients must be DyadicCoefficient")
         if coef.numerator == 0:
-            continue
+            raise InvalidArgumentError("zero coefficients must not be stored")
         if not isinstance(m, int) or not 0 <= m < end:
             raise InvalidArgumentError(f"prime_mask must lie in [0, 2^{n}), got {m!r}")
-        by_mask[m] = coef
     ascending = sorted(by_mask)
     if ascending != list(by_mask):
         by_mask = {m: by_mask[m] for m in ascending}
@@ -337,6 +340,33 @@ def _scaled_numerators(p: Polynomial) -> tuple[list[int], int]:
     return [c.numerator << (k - c.log2_denominator) for c in coefs], k
 
 
+def _flat_index(p: Polynomial) -> np.ndarray:
+    """Each term's C-order index into the (2,) * n tensor: party 0's bit is the most significant."""
+    masks = np.fromiter(_by_mask(p), dtype=np.int64, count=len(p.terms))
+    return sum(((masks >> j) & 1) << (p.n - 1 - j) for j in range(p.n))
+
+
+def _coefficient_tensor(p: Polynomial) -> np.ndarray:
+    """Shape (2,) * n; axis j is party j's setting (0 plain, 1 primed)."""
+    w = np.zeros(1 << p.n)
+    w[_flat_index(p)] = [float(coef) for coef in _by_mask(p).values()]
+    return w.reshape((2,) * p.n)
+
+
+def _scaled_tensor(p: Polynomial) -> tuple[np.ndarray, int]:
+    """(T, K): the coefficient tensor times 2**K as exact integers, K the largest log2 denominator.
+
+    T is int64 when the scaled coefficients' absolute sum is below 2**62, so
+    no sum of them with signs can wrap, and an object array of Python ints
+    otherwise.
+    """
+    scaled, k = _scaled_numerators(p)
+    dtype = np.int64 if sum(map(abs, scaled)) < 1 << 62 else object
+    w = np.zeros(1 << p.n, dtype=dtype)
+    w[_flat_index(p)] = scaled
+    return w.reshape((2,) * p.n), k
+
+
 @dataclass(frozen=True)
 class CorrelationVector:
     """Measured or modelled correlation coefficients, one real in [-1, 1] per Term."""
@@ -346,6 +376,9 @@ class CorrelationVector:
 
     def __post_init__(self) -> None:
         _check_party_count(self.n)
+        for term in self.values:
+            if not isinstance(term, Term):
+                raise InvalidArgumentError(f"correlation keys must be Term, got {term!r}")
         clean: dict[Term, float] = {}
         for term in sorted(self.values, key=lambda t: t.prime_mask):
             v = float(self.values[term])
@@ -549,15 +582,11 @@ def from_text(text: str, n: int | None = None) -> Polynomial:
                 f"term has {line_n} parties, earlier terms had {seen_n}", line=lineno
             )
         if mask in masks:
-            raise DataFormatError(f"duplicate term {token_label(seen_n, mask)}", line=lineno)
+            raise DataFormatError(f"duplicate term {_label(seen_n, mask)}", line=lineno)
         masks[mask] = DyadicCoefficient(numerator, int(k))
     if seen_n is None:
         raise DataFormatError("empty polynomial text and no explicit party count")
     return _build(seen_n, masks)
-
-
-def token_label(n: int, mask: int) -> str:
-    return _label(n, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -633,4 +662,4 @@ def from_dict(data: Mapping) -> Polynomial:
         raise DataFormatError(f"malformed structured polynomial: {exc}") from exc
     if len(masks) != len(data["terms"]):
         raise DataFormatError("duplicate prime_mask in structured polynomial")
-    return _build(n, masks)
+    return _build(n, {m: c for m, c in masks.items() if c})

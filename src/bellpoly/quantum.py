@@ -64,8 +64,7 @@ from .errors import (
     ResourceLimitError,
 )
 from . import polynomial
-from .models import _coefficient_tensor
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _coefficient_tensor
 
 __all__ = [
     "UnitVector",
@@ -327,14 +326,6 @@ def basis_state(n: int, index: int) -> PureState:
     return PureState(n, amps)
 
 
-def _real_part(value: complex, what: str) -> float:
-    if abs(value.imag) > _IMAG_ERROR:
-        raise NumericalIntegrityError(
-            f"{what} has imaginary residue {value.imag}, above {_IMAG_ERROR}"
-        )
-    return float(value.real)
-
-
 def _projector(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
@@ -345,7 +336,12 @@ def _density(state: State) -> np.ndarray:
 
 def _trace_product(rho: np.ndarray, matrix: np.ndarray) -> float:
     """Re Tr(rho B), after checking the imaginary residue."""
-    return _real_part(complex(np.einsum("ij,ji->", rho, matrix)), "expectation value")
+    value = complex(np.einsum("ij,ji->", rho, matrix))
+    if abs(value.imag) > _IMAG_ERROR:
+        raise NumericalIntegrityError(
+            f"expectation value has imaginary residue {value.imag}, above {_IMAG_ERROR}"
+        )
+    return float(value.real)
 
 
 def expectation(op: BellOperator, state: State) -> float:

@@ -16,10 +16,14 @@ do not all share one block matrix per size:
 Run from a checkout whose outputs are trusted:
 
     PYTHONPATH=src python3 tests/make_classical_golden.py
+
+With --compare it writes nothing and prints every case whose digest differs
+from the stored one (or is missing from it), then how many differ.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -92,8 +96,26 @@ def case_digest(kind: str, n: int) -> str:
     return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
 
 
+def compare(stored: dict, digests: dict) -> list[str]:
+    """One line per case whose digest is not the stored one, then the count."""
+    lines = [
+        f"{key}: stored {stored.get(key)} now {digest}"
+        for key, digest in digests.items()
+        if stored.get(key) != digest
+    ]
+    return lines + [f"{len(lines)} of {len(digests)} cases differ"]
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--compare", action="store_true", help="print cases whose digest differs, write nothing"
+    )
+    args = parser.parse_args()
     digests = {f"{kind}:{n}": case_digest(kind, n) for kind, n in cases()}
+    if args.compare:
+        print("\n".join(compare(json.loads(GOLDEN_PATH.read_text()), digests)))
+        return
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
 

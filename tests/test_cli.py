@@ -96,6 +96,11 @@ class TestBounds:
         assert per[0]["partition"] == "A=3|B=1,2"
         assert per[0]["value"] == 2.0
 
+    def test_party_listed_twice_is_data_error(self):
+        res = run_cli("bounds", "mk", "2", "--partition", "A=1,1|B=2")
+        assert (res.code, res.out) == (4, "")
+        assert "A=1,1|B=2" in res.err
+
     def test_unknown_model_rejected(self):
         res = run_cli("bounds", "mk", "3", "--models", "local,quantum")
         assert res.code == 2

@@ -166,7 +166,7 @@ class TestLocalBound:
 
     @pytest.mark.parametrize("poly", [P.mk(1), P.mk(5), P.svetlichny(8), Polynomial(3, {})])
     def test_coefficient_tensor_axes_are_party_settings(self, poly):
-        w = M._coefficient_tensor(poly)
+        w = P._coefficient_tensor(poly)
         assert w.shape == (2,) * poly.n
         for term, coef in poly.terms.items():
             assert w[tuple(int(term.primed(j)) for j in range(poly.n))] == float(coef)
@@ -297,6 +297,12 @@ class TestHybridWitnessIdentity:
 
 
 class TestBipartitions:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_every_mask_canonicalises_into_the_listing(self, n):
+        canonical = {Bipartition(n, m) for m in range(1, (1 << n) - 1)}
+        order = sorted(canonical, key=lambda bp: (bp.block_a_mask.bit_count(), bp.block_a_mask))
+        assert M.bipartitions(n) == tuple(order)
+
     def test_counts(self):
         assert len(M.bipartitions(2)) == 1
         assert len(M.bipartitions(3)) == 3
@@ -333,7 +339,7 @@ class TestBipartitions:
         assert Bipartition.from_text("A=2,4|B=1,3") == Bipartition.from_text("A=1,3|B=2,4")
 
     @pytest.mark.parametrize(
-        "text", ["A=1|B=1,2", "A=|B=1,2", "A=1,4|B=2", "nonsense", "A=1|B=3"]
+        "text", ["A=1|B=1,2", "A=|B=1,2", "A=1,4|B=2", "nonsense", "A=1|B=3", "A=1,1|B=2"]
     )
     def test_parse_errors(self, text):
         with pytest.raises(DataFormatError):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -511,7 +514,7 @@ class TestTermView:
             P.algebraic_limit(p)
             P.to_dict(p)
             P.to_text(p)
-            M._coefficient_tensor(p)
+            P._coefficient_tensor(p)
             P.combine(p, P.prime_flip(p), HALF, HALF)
         P.tensor_product(P.mk(3), P.svetlichny(4))
         P.mk.cache_clear()
@@ -554,6 +557,18 @@ class TestTermView:
         ("make", "error", "message"),
         [
             (lambda: P._build(2, {4: ONE}), BAD, "prime_mask must lie in [0, 2^2), got 4"),
+            pytest.param(
+                lambda: P._build(2, {1: P.ZERO}),
+                BAD,
+                "zero coefficients must not be stored",
+                id="build-zero",
+            ),
+            (lambda: Polynomial(2, {"x": ONE}), BAD, "polynomial keys must be Term, got 'x'"),
+            (
+                lambda: P.CorrelationVector(2, {"x": 0.5}),
+                BAD,
+                "correlation keys must be Term, got 'x'",
+            ),
             (
                 lambda: P.from_dict({"n": 2, "terms": [
                     {"prime_mask": -1, "numerator": 1, "log2_denominator": 0}
@@ -622,3 +637,29 @@ class TestTermView:
         with pytest.raises(TypeError):
             p.terms[Term(2, 0)] = ONE  # type: ignore[index]
         assert not hasattr(p.terms, "pop")
+
+
+class TestLayering:
+    """polynomial alone reads its coefficient store; quantum needs nothing from models."""
+
+    SOURCES = Path(P.__file__).parent
+
+    def test_quantum_imports_nothing_from_models(self):
+        tree = ast.parse((self.SOURCES / "quantum.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(alias.name for alias in node.names if not node.module)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not {name for name in imported if name.split(".")[-1] == "models"}
+
+    @pytest.mark.parametrize("name", ["_by_mask", "_scaled_numerators", "_flat_index"])
+    def test_store_readers_stay_in_polynomial(self, name):
+        users = [
+            path.name
+            for path in sorted(self.SOURCES.glob("*.py"))
+            if re.search(rf"\b{name}\b", path.read_text())
+        ]
+        assert users == ["polynomial.py"]

@@ -377,7 +377,7 @@ class TestCorrelations:
         message = r"correlation tensor has imaginary residue \S+, above 1e-08"
         with pytest.raises(NumericalIntegrityError, match=message):
             Q._correlations(rho)
-        w = M._coefficient_tensor(P.mk(3))
+        w = P._coefficient_tensor(P.mk(3))
         vectors = Q._raw_random_vectors(3, np.random.default_rng(7))
         with pytest.raises(NumericalIntegrityError, match=message):
             Q._settings_sweep(w, vectors, rho, None)
@@ -390,7 +390,7 @@ class TestCorrelations:
         rng = np.random.default_rng(n)
         p = random_dyadic_polynomial(n, rng) if kind == "random" else getattr(P, kind)(n)
         rho = Q._density(random_density(n, rng) if mixed else Q.random_state(n, rng))
-        w, vectors = M._coefficient_tensor(p), Q._raw_random_vectors(n, rng)
+        w, vectors = P._coefficient_tensor(p), Q._raw_random_vectors(n, rng)
         fields, errors = Q._fields, []
 
         def checked(w, vectors, t, party):
