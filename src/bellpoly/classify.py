@@ -204,6 +204,11 @@ def _mk_depth_bounds(n: int) -> dict[int, Root2Power]:
     return {m: Root2Power(m - 1) for m in range(1, n + 1) if m <= 2 or m >= n - 2}
 
 
+def depth_thresholds(n: int) -> dict[int, Root2Power]:
+    """Stored MK bounds at depth m < n, keyed by the depth m + 1 that crossing one certifies."""
+    return {m + 1: bound for m, bound in _mk_depth_bounds(n).items() if m < n}
+
+
 def _svetlichny_hybrid(n: int) -> Root2Power:
     return Root2Power(n - 2 if n % 2 == 0 else n - 3)
 
@@ -260,7 +265,11 @@ def svetlichny_bounds(n: int) -> BoundTable:
 # ---------------------------------------------------------------------------
 
 
-def _check_value(value: float, limit: float, what: str) -> None:
+def _check_value(value: float, n: int, what: str) -> None:
+    """Reject a party count below 2, then a value no n-party correlation data can produce."""
+    if not isinstance(n, int) or n < 2:
+        raise InvalidArgumentError(f"verdicts need n >= 2, got {n!r}")
+    limit = float(_mk_algebraic(n))
     if not math.isfinite(value) or value < 0:
         raise InvalidArgumentError(f"{what} must be a finite non-negative real, got {value!r}")
     if value > limit + VALUE_SANITY_TOL:
@@ -276,13 +285,11 @@ def entanglement_depth_verdict(value: float, n: int, *, tol: float = VERDICT_TOL
     Crossing 2**((m-1)/2) certifies at least (m+1)-particle entanglement for
     the tabulated m of mk_bound (m <= 2 and m >= n - 2); the strongest
     threshold strictly crossed (with a `tol` guard) wins.  Depth claims are
-    capped at n, so thresholds are scanned for m up to n-1.
+    capped at n, so depth_thresholds holds m up to n-1 only.
     """
-    if not isinstance(n, int) or n < 2:
-        raise InvalidArgumentError(f"verdicts need n >= 2, got {n!r}")
-    _check_value(value, float(_mk_algebraic(n)), "MK polynomial value")
-    bounds = _mk_depth_bounds(n)
-    crossed = [m for m in bounds if m < n and value > float(bounds[m]) + tol]
+    _check_value(value, n, "MK polynomial value")
+    thresholds = depth_thresholds(n)
+    crossed = [depth for depth in thresholds if value > float(thresholds[depth]) + tol]
     if not crossed:
         return Verdict(
             value=value,
@@ -290,38 +297,28 @@ def entanglement_depth_verdict(value: float, n: int, *, tol: float = VERDICT_TOL
             conclusion="no conclusion",
             margin=None,
         )
-    m = crossed[-1]
-    threshold = bounds[m]
+    depth = crossed[-1]
+    threshold = thresholds[depth]
     return Verdict(
         value=value,
         threshold=threshold,
-        conclusion=f"at least {m + 1}-particle entanglement",
+        conclusion=f"at least {depth}-particle entanglement",
         margin=value - float(threshold),
-        depth=m + 1,
+        depth=depth,
     )
 
 
 def nonseparability_verdict(value: float, n: int, *, tol: float = VERDICT_TOL) -> Verdict:
     """Genuine n-party non-separability from a Svetlichny polynomial value."""
-    if not isinstance(n, int) or n < 2:
-        raise InvalidArgumentError(f"verdicts need n >= 2, got {n!r}")
-    _check_value(value, float(_mk_algebraic(n)), "Svetlichny polynomial value")
+    _check_value(value, n, "Svetlichny polynomial value")
     threshold = _svetlichny_hybrid(n)
-    margin = value - float(threshold)
-    if value > float(threshold) + tol:
-        return Verdict(
-            value=value,
-            threshold=threshold,
-            conclusion=f"genuine {n}-party non-separability",
-            margin=margin,
-            genuine_nonseparable=True,
-        )
+    genuine = value > float(threshold) + tol
     return Verdict(
         value=value,
         threshold=threshold,
-        conclusion=f"genuine {n}-party non-separability not established",
-        margin=margin,
-        genuine_nonseparable=False,
+        conclusion=f"genuine {n}-party non-separability" + ("" if genuine else " not established"),
+        margin=value - float(threshold),
+        genuine_nonseparable=genuine,
     )
 
 

@@ -45,7 +45,12 @@ _EXIT_CODES = {
     NumericalIntegrityError: EXIT_INTEGRITY,
 }
 
-_KINDS = ("mk", "mk-prime", "svetlichny", "svetlichny-minus")
+_KINDS = {
+    "mk": polynomial.mk,
+    "mk-prime": lambda n: polynomial.prime_flip(polynomial.mk(n)),
+    "svetlichny": polynomial.svetlichny,
+    "svetlichny-minus": polynomial.svetlichny_minus,
+}
 _FORMATS = ("text", "structured")
 
 
@@ -103,15 +108,9 @@ class RunConfig:
 
 
 def build_polynomial(kind: str, n: int) -> Polynomial:
-    if kind == "mk":
-        return polynomial.mk(n)
-    if kind == "mk-prime":
-        return polynomial.prime_flip(polynomial.mk(n))
-    if kind == "svetlichny":
-        return polynomial.svetlichny(n)
-    if kind == "svetlichny-minus":
-        return polynomial.svetlichny_minus(n)
-    raise InvalidArgumentError(f"unknown polynomial kind {kind!r}")
+    if kind not in _KINDS:
+        raise InvalidArgumentError(f"unknown polynomial kind {kind!r}")
+    return _KINDS[kind](n)
 
 
 def parse_correlation_text(text: str) -> CorrelationVector:
@@ -195,10 +194,6 @@ def cmd_bounds(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str]:
     if "hybrid" in wanted:
         if args.partition is not None:
             partition = models.Bipartition.from_text(args.partition)
-            if partition.n != poly.n:
-                raise InvalidArgumentError(
-                    f"partition covers {partition.n} parties, polynomial has {poly.n}"
-                )
             result = models.hybrid_bound(
                 poly, partition, max_block_size=config.hybrid_block_cap
             )
@@ -225,12 +220,9 @@ def cmd_bounds(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str]:
         }
     if "algebraic" in wanted:
         limit = polynomial.algebraic_limit(poly)
-        doc["results"]["algebraic"] = {
-            "model": "algebraic",
-            "value": float(limit),
-            "value_exact": str(limit),
-            "witness": None,
-        }
+        doc["results"]["algebraic"] = models.BoundResult(
+            "algebraic", float(limit), limit, None
+        ).as_dict()
         lines.append(f"algebraic limit: {float(limit):g} ({limit})")
     return doc, "\n".join(lines)
 
@@ -252,6 +244,7 @@ def cmd_qmax(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str]:
         "restarts": config.restarts,
     }
     quantum._check_cap(poly, config.spectral_cap)
+    search = dict(restarts=config.restarts, seed=config.seed, tol=config.seesaw_tol)
     if args.state is not None:
         qubits, build_state = quantum._state_spec(args.state)
         if qubits != poly.n:
@@ -261,20 +254,16 @@ def cmd_qmax(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str]:
         result = quantum.seesaw(
             poly,
             build_state(),
-            restarts=config.restarts,
-            seed=config.seed,
-            tol=config.seesaw_tol,
             max_sweeps=config.seesaw_max_sweeps,
+            **search,
         )
         frame, value, state_doc = result.frame, result.value, None
     else:
         result = quantum.quantum_max(
             poly,
-            restarts=config.restarts,
-            seed=config.seed,
             cap=config.spectral_cap,
-            tol=config.seesaw_tol,
             max_rounds=config.seesaw_max_sweeps,
+            **search,
         )
         frame, value, state_doc = result.frame, result.value, _state_doc(result.state)
     doc["value"] = value
@@ -333,16 +322,14 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str
         source = {"type": "state", "state": args.state, "frame": args.frame}
     if kind in ("mk", "mk-prime"):
         verdict = classify.entanglement_depth_verdict(value, n, tol=config.verdict_tol)
-        thresholds = [
-            {"depth": m + 1, "value": float(bound), "exact": bound.render()}
-            for m, bound in classify._mk_depth_bounds(n).items() if m < n
-        ]
+        key, bounds = "depth", classify.depth_thresholds(n)
     else:
         verdict = classify.nonseparability_verdict(value, n, tol=config.verdict_tol)
-        threshold = verdict.threshold
-        thresholds = [
-            {"genuine": n, "value": float(threshold), "exact": threshold.render()}
-        ]
+        key, bounds = "genuine", {n: verdict.threshold}
+    thresholds = [
+        {key: level, "value": float(bound), "exact": bound.render()}
+        for level, bound in bounds.items()
+    ]
     doc = {
         "command": "classify",
         "kind": kind,

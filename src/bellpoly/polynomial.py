@@ -381,7 +381,13 @@ class CorrelationVector:
                 raise InvalidArgumentError(f"correlation keys must be Term, got {term!r}")
         clean: dict[Term, float] = {}
         for term in sorted(self.values, key=lambda t: t.prime_mask):
-            v = float(self.values[term])
+            try:
+                v = float(self.values[term])
+            except (TypeError, ValueError) as exc:
+                raise InvalidArgumentError(
+                    f"correlation value for {term.label()} must be a real number, "
+                    f"got {self.values[term]!r}"
+                ) from exc
             if term.n != self.n:
                 raise InvalidArgumentError(
                     f"term {term.label()} has n={term.n}, vector has n={self.n}"
@@ -650,16 +656,25 @@ def to_dict(p: Polynomial) -> dict:
 
 
 def from_dict(data: Mapping) -> Polynomial:
+    """Inverse of to_dict; each entry's three fields must be ints, never bools or floats."""
     try:
         n = data["n"]
-        masks = {
-            int(entry["prime_mask"]): DyadicCoefficient(
-                int(entry["numerator"]), int(entry["log2_denominator"])
-            )
+        entries = [
+            {name: entry[name] for name in ("prime_mask", "numerator", "log2_denominator")}
             for entry in data["terms"]
-        }
+        ]
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"malformed structured polynomial: {exc}") from exc
-    if len(masks) != len(data["terms"]):
+    for entry in entries:
+        for name, value in entry.items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DataFormatError(
+                    f"malformed structured polynomial: {name} must be an integer, got {value!r}"
+                )
+    masks = {
+        entry["prime_mask"]: DyadicCoefficient(entry["numerator"], entry["log2_denominator"])
+        for entry in entries
+    }
+    if len(masks) != len(entries):
         raise DataFormatError("duplicate prime_mask in structured polynomial")
     return _build(n, {m: c for m, c in masks.items() if c})

@@ -18,7 +18,8 @@ Run from a checkout whose outputs are trusted:
     PYTHONPATH=src python3 tests/make_classical_golden.py
 
 With --compare it writes nothing and prints every case whose digest differs
-from the stored one (or is missing from it), then how many differ.
+from the stored one (or is missing from it), then how many differ; it exits 1
+when any case differs and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -97,16 +98,15 @@ def case_digest(kind: str, n: int) -> str:
 
 
 def compare(stored: dict, digests: dict) -> list[str]:
-    """One line per case whose digest is not the stored one, then the count."""
-    lines = [
+    """One line per case whose digest is not the stored one."""
+    return [
         f"{key}: stored {stored.get(key)} now {digest}"
         for key, digest in digests.items()
         if stored.get(key) != digest
     ]
-    return lines + [f"{len(lines)} of {len(digests)} cases differ"]
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--compare", action="store_true", help="print cases whose digest differs, write nothing"
@@ -114,11 +114,13 @@ def main() -> None:
     args = parser.parse_args()
     digests = {f"{kind}:{n}": case_digest(kind, n) for kind, n in cases()}
     if args.compare:
-        print("\n".join(compare(json.loads(GOLDEN_PATH.read_text()), digests)))
-        return
+        moved = compare(json.loads(GOLDEN_PATH.read_text()), digests)
+        print("\n".join(moved + [f"{len(moved)} of {len(digests)} cases differ"]))
+        return 1 if moved else 0
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -23,7 +23,8 @@ Run from a checkout whose outputs are trusted:
 With --compare it writes nothing and prints, per record and search, how far
 this checkout's results lie from the stored ones: the value shift, the
 largest frame component shift, and |<old|new>| for each state (1 when a state
-moved only by a global phase).
+moved only by a global phase).  It exits 1 when any record is not exactly the
+stored one, down to the last bit of every float, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def compare(stored: dict, records: dict) -> list[str]:
     return lines
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--compare", action="store_true", help="print shifts against the stored file, write nothing"
@@ -125,11 +126,13 @@ def main() -> None:
     args = parser.parse_args()
     records = {f"{kind}:{n}": case_record(kind, n) for kind, n in cases()}
     if args.compare:
-        print("\n".join(compare(json.loads(GOLDEN_PATH.read_text()), records)))
-        return
+        stored = json.loads(GOLDEN_PATH.read_text())
+        print("\n".join(compare(stored, records)))
+        return 1 if json.loads(json.dumps(records)) != stored else 0
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(records, sort_keys=True) + "\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -153,22 +153,19 @@ class TestSvetlichnyBounds:
         with pytest.raises(InvalidArgumentError):
             C.svetlichny_bounds(2)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_threshold_matches_enumeration(self, n):
-        table = C.svetlichny_bounds(n)
-        stored = float(table.bounds[ModelKind.hybrid_separable(1)])
-        computed = M.hybrid_bound_all(P.svetlichny(n)).overall.value
-        assert computed == stored
-
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_sqrt2_gap(self, n):
-        table = C.svetlichny_bounds(n)
-        hybrid = table.bounds[ModelKind.hybrid_separable(1)]
-        quantum = table.bounds[ModelKind.quantum_depth(n)]
-        assert quantum.half_exponent == hybrid.half_exponent + 1
-
 
 class TestDepthVerdict:
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_depth_thresholds_are_the_tabulated_bounds(self, n):
+        expected = {}
+        for m in range(1, n):
+            try:
+                expected[m + 1] = C.mk_bound(n, ModelKind.quantum_depth(m))
+            except NotTabulatedError:
+                pass
+        assert C.depth_thresholds(n) == expected
+        assert list(C.depth_thresholds(n)) == sorted(expected)
+
     def test_above_sqrt2_gives_three_particle(self):
         v = C.entanglement_depth_verdict(1.8, 3)
         assert v.depth == 3

@@ -101,6 +101,11 @@ class TestBounds:
         assert (res.code, res.out) == (4, "")
         assert "A=1,1|B=2" in res.err
 
+    def test_partition_party_count_checked_by_the_library(self):
+        res = run_cli("bounds", "mk", "2", "--partition", "A=1|B=2,3")
+        assert (res.code, res.out) == (2, "")
+        assert res.err == "error: bipartition is over 3 parties, polynomial over 2\n"
+
     def test_unknown_model_rejected(self):
         res = run_cli("bounds", "mk", "3", "--models", "local,quantum")
         assert res.code == 2
@@ -186,6 +191,12 @@ class TestClassify:
         doc = res.json()
         assert [t["depth"] for t in doc["thresholds"]] == [2, 3, 5, 6]
         assert doc["verdict"]["depth"] == 3
+
+    def test_svetlichny_threshold_is_the_genuine_bound(self):
+        res = run_cli(
+            "--format", "structured", "classify", "--poly", "svetlichny", "3", "--value", "1.2"
+        )
+        assert res.json()["thresholds"] == [{"genuine": 3, "value": 1.0, "exact": "1"}]
 
     def test_correlations_file(self, tmp_path):
         path = tmp_path / "ghz3.corr"

@@ -380,6 +380,9 @@ class TestEvaluate:
         with pytest.raises(InvalidArgumentError):
             P.CorrelationVector(1, {Term(1, 0): 1.5})
 
+    def test_numeric_string_correlation_still_accepted(self):
+        assert P.CorrelationVector(2, {Term(2, 0): "0.5"}).values == {Term(2, 0): 0.5}
+
 
 # ---------------------------------------------------------------------------
 # Text and structured forms
@@ -569,6 +572,15 @@ class TestTermView:
                 BAD,
                 "correlation keys must be Term, got 'x'",
             ),
+            *(
+                pytest.param(
+                    lambda value=value: P.CorrelationVector(2, {Term(2, 0): value}),
+                    BAD,
+                    f"correlation value for A1 A2 must be a real number, got {value!r}",
+                    id=f"correlation-value-{value!r}",
+                )
+                for value in ("abc", None, 1j)
+            ),
             (
                 lambda: P.from_dict({"n": 2, "terms": [
                     {"prime_mask": -1, "numerator": 1, "log2_denominator": 0}
@@ -605,6 +617,33 @@ class TestTermView:
                 BAD,
                 "party count must be a positive integer, got -1",
             ),
+            (
+                lambda: P.from_dict({"n": 2, "terms": [
+                    {"prime_mask": 1, "numerator": 1, "log2_denominator": -1}
+                ]}),
+                BAD,
+                "log2_denominator must be non-negative",
+            ),
+            *(
+                pytest.param(
+                    lambda entry=entry: P.from_dict({"n": 2, "terms": [
+                        {"prime_mask": 1, "numerator": 1, "log2_denominator": 0, **entry}
+                    ]}),
+                    DataFormatError,
+                    f"malformed structured polynomial: {name} must be an integer, got {value!r}",
+                    id=f"from-dict-{name}-{value!r}",
+                )
+                for entry in (
+                    {"prime_mask": 1.5},
+                    {"numerator": 1.5},
+                    {"log2_denominator": 0.0},
+                    {"prime_mask": "x"},
+                    {"numerator": "1"},
+                    {"prime_mask": True},
+                    {"log2_denominator": None},
+                )
+                for name, value in entry.items()
+            ),
         ],
     )
     def test_bad_input_errors(self, make, error, message):
@@ -640,7 +679,11 @@ class TestTermView:
 
 
 class TestLayering:
-    """polynomial alone reads its coefficient store; quantum needs nothing from models."""
+    """polynomial alone reads its coefficient store; quantum needs nothing from models.
+
+    cli states no verdict or model rule of its own, so it reads no private name
+    of classify or models.
+    """
 
     SOURCES = Path(P.__file__).parent
 
@@ -663,3 +706,19 @@ class TestLayering:
             if re.search(rf"\b{name}\b", path.read_text())
         ]
         assert users == ["polynomial.py"]
+
+    def test_cli_reads_no_private_name_of_classify_or_models(self):
+        tree = ast.parse((self.SOURCES / "cli.py").read_text())
+        read = {
+            f"{node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        }
+        imported = {
+            f"{(node.module or '').split('.')[-1]}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert "classify.depth_thresholds" in read
+        assert not {name for name in read | imported if re.match(r"(classify|models)\._", name)}

@@ -11,10 +11,12 @@ tests/make_quantum_golden.py regenerates it.
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import make_quantum_golden
 from make_quantum_golden import GOLDEN_PATH, case_record, cases, noisy_ghz, polynomial
 
 from bellpoly import quantum as Q
@@ -72,3 +74,20 @@ def test_record_matches(kind, n):
         assert len(got["states"]) == len(want["states"]), search
         for a, b in zip(got["states"], want["states"]):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=search)
+
+
+def test_compare_exit_status(tmp_path, monkeypatch, capsys):
+    """--compare exits 0 on an exact copy of a record, and 1 once one float moves by one ulp."""
+    record = json.loads(json.dumps(case_record("mk", 3)))
+    monkeypatch.setattr(make_quantum_golden, "cases", lambda: [("mk", 3)])
+    monkeypatch.setattr(make_quantum_golden, "GOLDEN_PATH", tmp_path / "golden.json")
+    monkeypatch.setattr(sys, "argv", ["make_quantum_golden.py", "--compare"])
+    (tmp_path / "golden.json").write_text(json.dumps({"mk:3": record}))
+    assert make_quantum_golden.main() == 0
+    assert capsys.readouterr().out.startswith("mk:3 quantum_max: value +0 frame 0 ")
+    value = record["quantum_max"]["value"]
+    record["quantum_max"]["value"] = float(np.nextafter(value, np.inf))
+    (tmp_path / "golden.json").write_text(json.dumps({"mk:3": record}))
+    assert make_quantum_golden.main() == 1
+    shift = value - record["quantum_max"]["value"]
+    assert capsys.readouterr().out.startswith(f"mk:3 quantum_max: value {shift:+.3g} frame 0 ")
