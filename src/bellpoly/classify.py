@@ -431,11 +431,10 @@ def table1(
     All 15 cells are checked in one pass, row by row, and the first mismatch
     raises NumericalIntegrityError naming its cell; this is the package's
     flagship self-test.  `local_cap` is the local enumeration's `cap`;
-    `spectral_cap`, `seesaw_tol` and `max_sweeps` are the searches' `cap`,
-    `tol` and `max_rounds`.  No hybrid block cap applies: every three-party
-    split has a one-party block.
+    `spectral_cap` and `seesaw_tol` are the searches' `cap` and `tol`.  No
+    hybrid block cap applies: every three-party split has a one-party block.
     """
-    search = dict(restarts=restarts, cap=spectral_cap, tol=seesaw_tol, max_rounds=max_sweeps)
+    search = dict(restarts=restarts, cap=spectral_cap, tol=seesaw_tol, max_sweeps=max_sweeps)
     recomputed: dict[str, dict[str, float]] = {}
     rows = (("M3", polynomial.mk(3)), ("S3", polynomial.svetlichny(3)))
     for offset, (row, poly) in enumerate(rows):

@@ -24,7 +24,7 @@ from .errors import (
     NumericalIntegrityError,
     ResourceLimitError,
 )
-from .polynomial import CorrelationVector, Polynomial, Term
+from .polynomial import Polynomial, parse_correlation_text
 
 DEFAULT_SEED = 0x5EED
 SCHEMA_VERSION = 1
@@ -111,39 +111,6 @@ def build_polynomial(kind: str, n: int) -> Polynomial:
     if kind not in _KINDS:
         raise InvalidArgumentError(f"unknown polynomial kind {kind!r}")
     return _KINDS[kind](n)
-
-
-def parse_correlation_text(text: str) -> CorrelationVector:
-    """Correlation data: header `n=<count>`, then `<settings> <value>` lines.
-
-    Settings are an n-character string over {0,1}, leftmost character for
-    party 1, with 1 marking the primed setting.  Duplicate settings are an
-    error; values must lie in [-1, 1].
-    """
-    n, lines = polynomial._counted_lines(text, "correlation file")
-    values: dict[Term, float] = {}
-    for lineno, line in lines:
-        parts = line.split()
-        if len(parts) != 2:
-            raise DataFormatError(f"expected `<settings> <value>`, got {line!r}", line=lineno)
-        settings, value_text = parts
-        if len(settings) != n or any(ch not in "01" for ch in settings):
-            raise DataFormatError(
-                f"settings must be {n} characters over 0/1, got {settings!r}", line=lineno
-            )
-        term = Term(n, int(settings[::-1], 2))
-        if term in values:
-            raise DataFormatError(f"duplicate settings {settings!r}", line=lineno)
-        try:
-            value = float(value_text)
-        except ValueError as exc:
-            raise DataFormatError(f"bad value {value_text!r}", line=lineno) from exc
-        if not -1.0 <= value <= 1.0:
-            raise DataFormatError(
-                f"correlation value {value} outside [-1, 1]", line=lineno
-            )
-        values[term] = value
-    return CorrelationVector(n, values)
 
 
 # ---------------------------------------------------------------------------
@@ -243,28 +210,18 @@ def cmd_qmax(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str]:
         "seed": config.seed,
         "restarts": config.restarts,
     }
-    quantum._check_cap(poly, config.spectral_cap)
-    search = dict(restarts=config.restarts, seed=config.seed, tol=config.seesaw_tol)
+    search = dict(
+        restarts=config.restarts,
+        seed=config.seed,
+        cap=config.spectral_cap,
+        tol=config.seesaw_tol,
+        max_sweeps=config.seesaw_max_sweeps,
+    )
     if args.state is not None:
-        qubits, build_state = quantum._state_spec(args.state)
-        if qubits != poly.n:
-            raise InvalidArgumentError(
-                f"state has {qubits} qubits, polynomial has {poly.n} parties"
-            )
-        result = quantum.seesaw(
-            poly,
-            build_state(),
-            max_sweeps=config.seesaw_max_sweeps,
-            **search,
-        )
+        result = quantum.seesaw(poly, quantum.parse_state(args.state, poly.n), **search)
         frame, value, state_doc = result.frame, result.value, None
     else:
-        result = quantum.quantum_max(
-            poly,
-            cap=config.spectral_cap,
-            max_rounds=config.seesaw_max_sweeps,
-            **search,
-        )
+        result = quantum.quantum_max(poly, **search)
         frame, value, state_doc = result.frame, result.value, _state_doc(result.state)
     doc["value"] = value
     doc["frame"] = frame.as_dict()
@@ -300,7 +257,7 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str
         source = {"type": "value"}
     elif args.correlations is not None:
         correlations = parse_correlation_text(
-            polynomial._read_file(args.correlations, "correlation file")
+            polynomial.read_text_file(args.correlations, "correlation file")
         )
         if correlations.n != poly.n:
             raise DataFormatError(
@@ -311,14 +268,11 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str
     else:
         if args.state is None or args.frame is None:
             raise InvalidArgumentError("--state and --frame must be given together")
-        quantum._check_cap(poly, config.spectral_cap)
-        frame = quantum.frame_from_text(polynomial._read_file(args.frame, "frame file"))
-        qubits, build_state = quantum._state_spec(args.state)
-        if qubits != poly.n or frame.n != poly.n:
-            raise InvalidArgumentError(
-                f"polynomial has {poly.n} parties, state has {qubits}, frame has {frame.n}"
-            )
-        value = quantum.expectation(quantum.bell_operator(poly, frame), build_state())
+        frame = quantum.frame_from_text(polynomial.read_text_file(args.frame, "frame file"))
+        state = quantum.parse_state(args.state, poly.n)
+        value = quantum.expectation(
+            quantum.bell_operator(poly, frame, cap=config.spectral_cap), state
+        )
         source = {"type": "state", "state": args.state, "frame": args.frame}
     if kind in ("mk", "mk-prime"):
         verdict = classify.entanglement_depth_verdict(value, n, tol=config.verdict_tol)

@@ -45,6 +45,8 @@ __all__ = [
     "from_text",
     "to_dict",
     "from_dict",
+    "parse_correlation_text",
+    "read_text_file",
 ]
 
 
@@ -631,7 +633,40 @@ def _counted_lines(
     return n, lines
 
 
-def _read_file(path: str, what: str) -> str:
+def parse_correlation_text(text: str) -> CorrelationVector:
+    """Correlation data: header `n=<count>`, then `<settings> <value>` lines.
+
+    Settings are an n-character string over {0,1}, leftmost character for
+    party 1, with 1 marking the primed setting.  Duplicate settings are an
+    error; values must lie in [-1, 1].
+    """
+    n, lines = _counted_lines(text, "correlation file")
+    values: dict[Term, float] = {}
+    for lineno, line in lines:
+        parts = line.split()
+        if len(parts) != 2:
+            raise DataFormatError(f"expected `<settings> <value>`, got {line!r}", line=lineno)
+        settings, value_text = parts
+        if len(settings) != n or any(ch not in "01" for ch in settings):
+            raise DataFormatError(
+                f"settings must be {n} characters over 0/1, got {settings!r}", line=lineno
+            )
+        term = Term(n, int(settings[::-1], 2))
+        if term in values:
+            raise DataFormatError(f"duplicate settings {settings!r}", line=lineno)
+        try:
+            value = float(value_text)
+        except ValueError as exc:
+            raise DataFormatError(f"bad value {value_text!r}", line=lineno) from exc
+        if not -1.0 <= value <= 1.0:
+            raise DataFormatError(
+                f"correlation value {value} outside [-1, 1]", line=lineno
+            )
+        values[term] = value
+    return CorrelationVector(n, values)
+
+
+def read_text_file(path: str, what: str) -> str:
     """The whole of a UTF-8 text file; an unreadable one is a DataFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:

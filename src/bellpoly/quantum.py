@@ -17,6 +17,10 @@ Wolf, PRA 64, 032112, 2001).  A sweep builds T once from its state, and a
 party's two fields contract T with the other parties' Bloch vectors and then
 with the coefficients.
 
+`bell_operator` and the three searches, which build 4**n Bell matrices, take
+`cap` (default DEFAULT_SPECTRAL_CAP = 10) and raise ResourceLimitError for a
+polynomial of more than `cap` parties before they build anything.
+
 States enter as density matrices (a pure state as |psi><psi|), and every
 expectation is Re Tr(rho B).  The expectation is linear in each setting's
 Bloch vector, g_0 . v_0 + g_1 . v_1 for any one party, which makes coordinate
@@ -134,7 +138,7 @@ class UnitVector:
         for name in ("x", "y", "z"):
             object.__setattr__(self, name, float(getattr(self, name)))
         norm = math.sqrt(self.x**2 + self.y**2 + self.z**2)
-        if abs(norm - 1.0) > _UNIT_TOL:
+        if not abs(norm - 1.0) <= _UNIT_TOL:
             raise InvalidArgumentError(
                 f"({self.x}, {self.y}, {self.z}) has norm {norm!r}, not a unit vector"
             )
@@ -200,7 +204,7 @@ class PureState:
                 f"state for n={self.n} needs {1 << self.n} amplitudes, got {amps.shape}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > _UNIT_TOL:
+        if not abs(norm - 1.0) <= _UNIT_TOL:
             raise InvalidArgumentError(f"state norm is {norm!r}, not 1 within {_UNIT_TOL}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -220,11 +224,11 @@ class DensityMatrix:
             raise InvalidArgumentError(
                 f"density matrix for n={self.n} must be {dim}x{dim}, got {rho.shape}"
             )
-        if np.max(np.abs(rho - rho.conj().T)) > _HERMITIAN_TOL:
+        if not np.max(np.abs(rho - rho.conj().T)) <= _HERMITIAN_TOL:
             raise InvalidArgumentError("density matrix is not Hermitian within 1e-10")
-        if abs(np.trace(rho) - 1.0) > _HERMITIAN_TOL:
+        if not abs(np.trace(rho) - 1.0) <= _HERMITIAN_TOL:
             raise InvalidArgumentError("density matrix trace is not 1 within 1e-10")
-        if float(np.linalg.eigvalsh(rho)[0]) < -_HERMITIAN_TOL:
+        if not float(np.linalg.eigvalsh(rho)[0]) >= -_HERMITIAN_TOL:
             raise InvalidArgumentError("density matrix has an eigenvalue below -1e-10")
         rho.flags.writeable = False
         object.__setattr__(self, "entries", rho)
@@ -252,7 +256,7 @@ class BellOperator:
         dim = 1 << self.n
         if mat.shape != (dim, dim):
             raise InvalidArgumentError(f"operator must be {dim}x{dim}, got {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > _HERMITIAN_TOL:
+        if not np.max(np.abs(mat - mat.conj().T)) <= _HERMITIAN_TOL:
             raise NumericalIntegrityError("Bell operator is not Hermitian within 1e-10")
         limit = float(polynomial.algebraic_limit(self.source[0]))
         if dim < _DENSE_NORM_BELOW:
@@ -260,7 +264,7 @@ class BellOperator:
             norm = float(max(abs(eigs[0]), abs(eigs[-1])))
         else:  # Ritz values bound the extreme eigenvalues from inside
             norm = max(_top_eigenpair(mat)[0], _top_eigenpair(-mat)[0])
-        if norm > limit + 1e-9:
+        if not norm <= limit + 1e-9:
             raise NumericalIntegrityError(
                 f"operator norm {norm} exceeds the algebraic limit {limit}"
             )
@@ -299,8 +303,11 @@ def _bell_matrix(w: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return t.reshape(t.shape[-2:])
 
 
-def bell_operator(p: Polynomial, f: MeasurementFrame) -> BellOperator:
+def bell_operator(
+    p: Polynomial, f: MeasurementFrame, *, cap: int = DEFAULT_SPECTRAL_CAP
+) -> BellOperator:
     """Substitute each setting symbol with its observable and sum the products."""
+    _check_cap(p, cap)
     if p.n != f.n:
         raise InvalidArgumentError(f"polynomial has {p.n} parties, frame has {f.n}")
     matrix = _bell_matrix(_coefficient_tensor(p), _ops_from_vectors(_frame_vectors(f)))
@@ -644,6 +651,7 @@ def seesaw(
     restarts: int = DEFAULT_RESTARTS,
     *,
     seed: int,
+    cap: int = DEFAULT_SPECTRAL_CAP,
     tol: float = DEFAULT_SEESAW_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> SeesawResult:
@@ -656,6 +664,7 @@ def seesaw(
     frame over `restarts` seeded random starting frames is returned, together
     with the per-update value history of the winning restart.
     """
+    _check_cap(p, cap)
     if p.n != state.n:
         raise InvalidArgumentError(f"polynomial has {p.n} parties, state has {state.n}")
     rho, w = _density(state), _coefficient_tensor(p)
@@ -676,13 +685,13 @@ def quantum_max(
     seed: int,
     cap: int = DEFAULT_SPECTRAL_CAP,
     tol: float = DEFAULT_SEESAW_TOL,
-    max_rounds: int = DEFAULT_MAX_SWEEPS,
+    max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> QuantumMaxResult:
     """Joint maximum over states and settings.
 
     Alternates a state step (top eigenvector of the current Bell operator)
     with one see-saw sweep of the settings.  A restart stops when a round
-    gains less than `tol` over the value before it, or after `max_rounds`
+    gains less than `tol` over the value before it, or after `max_sweeps`
     rounds.  A final state step makes the returned state a top eigenvector of
     the returned frame's operator, with residual ||B psi - value psi|| at most
     1e-9.  From n = 7 on, every state step is Lanczos from a fixed start vector
@@ -695,7 +704,7 @@ def quantum_max(
 
     def attempt(rng: np.random.Generator) -> QuantumMaxResult:
         vectors = _raw_random_vectors(p.n, rng)
-        _, matrix = _ascend(w, vectors, lambda m: _projector(_top_eigenpair(m)[1]), tol, max_rounds)
+        _, matrix = _ascend(w, vectors, lambda m: _projector(_top_eigenpair(m)[1]), tol, max_sweeps)
         value, psi = _top_eigenpair(matrix)
         return QuantumMaxResult(value, _vectors_to_frame(vectors), PureState(p.n, psi))
 
@@ -710,7 +719,7 @@ def block_product_max(
     seed: int,
     cap: int = DEFAULT_SPECTRAL_CAP,
     tol: float = DEFAULT_SEESAW_TOL,
-    max_rounds: int = DEFAULT_MAX_SWEEPS,
+    max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> BlockProductResult:
     """Maximum over states constrained to a product across one bipartition.
 
@@ -718,7 +727,7 @@ def block_product_max(
     A state step takes block A's top eigenvector of the operator left by
     block B's state, then block B's given the new A, so the ascent stays
     inside the product-state family.  A restart stops when a round gains less
-    than `tol` over the value before it, or after `max_rounds` rounds.
+    than `tol` over the value before it, or after `max_sweeps` rounds.
     """
     _check_cap(p, cap)
     a = tuple(sorted(block))
@@ -745,7 +754,7 @@ def block_product_max(
             psi = np.kron(phi_a, phi_b).reshape((2,) * p.n).transpose(np.argsort(order))
             return _projector(psi.reshape(-1))
 
-        value, _ = _ascend(w, vectors, product_step, tol, max_rounds)
+        value, _ = _ascend(w, vectors, product_step, tol, max_sweeps)
         blocks = (PureState(len(a), phi_a), PureState(len(b), phi_b))
         return BlockProductResult(value, _vectors_to_frame(vectors), blocks)
 
@@ -788,21 +797,13 @@ def frame_from_text(text: str) -> MeasurementFrame:
     return MeasurementFrame(tuple(zip(vectors[::2], vectors[1::2])))
 
 
-def parse_state(spec: str) -> PureState:
-    """State specifications: `ghz:n`, `basis:n:index`, or `file:<path>`.
+def parse_state(spec: str, n: int) -> PureState:
+    """The n-qubit state a spec names: `ghz:k`, `basis:k:index`, or `file:<path>`.
 
-    A state file lists the 2**n amplitudes, one `re im` pair per line, in
-    basis order.
-    """
-    return _state_spec(spec)[1]()
-
-
-def _state_spec(spec: str) -> tuple[int, Callable[[], PureState]]:
-    """parse_state in two steps: the spec's qubit count, and a call that builds the state.
-
-    A `ghz:n` or `basis:n:index` spec yields n without building its 2**n
-    amplitudes, so a caller can compare n with its polynomial first.  A
-    `file:` spec is read here, since only its amplitudes give its count.
+    A state file lists the 2**k amplitudes, one `re im` pair per line, in
+    basis order.  A spec for k != n qubits raises InvalidArgumentError: a
+    `ghz:` or `basis:` one before any amplitude is built, a `file:` one once
+    the file has been read.
     """
     kind, _, rest = spec.partition(":")
     if kind in ("ghz", "basis"):
@@ -814,20 +815,23 @@ def _state_spec(spec: str) -> tuple[int, Callable[[], PureState]]:
             raise DataFormatError(bad) from exc
         if len(args) != (1 if kind == "ghz" else 2) or args[0] < 1:
             raise DataFormatError(bad)
-
-        def build() -> PureState:
-            try:
-                return ghz(*args) if kind == "ghz" else basis_state(*args)
-            except InvalidArgumentError as exc:
-                raise DataFormatError(bad) from exc
-
-        return args[0], build
+        _check_qubits(args[0], n)
+        try:
+            return ghz(*args) if kind == "ghz" else basis_state(*args)
+        except InvalidArgumentError as exc:
+            raise DataFormatError(bad) from exc
     if kind == "file":
         if not rest:
             raise DataFormatError(f"bad state spec {spec!r} (want file:<path>)")
-        state = _state_from_text(polynomial._read_file(rest, "state file"))
-        return state.n, lambda: state
+        state = _state_from_text(polynomial.read_text_file(rest, "state file"))
+        _check_qubits(state.n, n)
+        return state
     raise DataFormatError(f"unknown state spec {spec!r} (want ghz:, basis:, or file:)")
+
+
+def _check_qubits(qubits: int, n: int) -> None:
+    if qubits != n:
+        raise InvalidArgumentError(f"state has {qubits} qubits, polynomial has {n} parties")
 
 
 def _state_from_text(text: str) -> PureState:

@@ -20,6 +20,7 @@ from bellpoly.polynomial import Term
 
 from conftest import (
     SQRT2,
+    chsh_frame,
     mermin3_frame,
     run_cli,
     run_module,
@@ -353,7 +354,7 @@ class TestSettingsReachEveryCommand:
         # per row (M3, S3): one full search and one per 3-party bipartition
         assert sorted(name for name, _ in calls) == ["block_product_max"] * 6 + ["quantum_max"] * 2
         for _, kwargs in calls:
-            assert (kwargs["restarts"], kwargs["tol"], kwargs["max_rounds"], kwargs["cap"]) == (
+            assert (kwargs["restarts"], kwargs["tol"], kwargs["max_sweeps"], kwargs["cap"]) == (
                 1, 1e-5, 7, 5
             )
 
@@ -390,22 +391,17 @@ class TestSettingsReachEveryCommand:
 
     @pytest.mark.parametrize("spec", ["ghz:30", "basis:30:0"])
     @pytest.mark.parametrize(
-        "command, message",
+        "command",
         [
-            pytest.param(
-                ["qmax", "mk", "3", "--state", "SPEC"],
-                "state has 30 qubits, polynomial has 3 parties",
-                id="qmax",
-            ),
+            pytest.param(["qmax", "mk", "3", "--state", "SPEC"], id="qmax"),
             pytest.param(
                 ["classify", "--poly", "mk", "3", "--state", "SPEC", "--frame", "FRAME"],
-                "polynomial has 3 parties, state has 30, frame has 3",
                 id="classify",
             ),
         ],
     )
     def test_state_count_checked_before_the_state_is_built(
-        self, command, message, spec, tmp_path, monkeypatch
+        self, command, spec, tmp_path, monkeypatch
     ):
         """--spectral-cap bounds the polynomial's n, not the spec's; 2^30 amplitudes are 16 GiB."""
 
@@ -418,7 +414,82 @@ class TestSettingsReachEveryCommand:
         frame_path.write_text(Q.frame_to_text(mermin3_frame()))
         argv = [{"SPEC": spec, "FRAME": str(frame_path)}.get(arg, arg) for arg in command]
         res = run_cli(*argv)
-        assert (res.code, res.err) == (2, f"error: {message}\n")
+        assert (res.code, res.err) == (2, "error: state has 30 qubits, polynomial has 3 parties\n")
+
+
+class TestStateAndFrameFaults:
+    """Every single-fault `qmax --state` and `classify --state/--frame` input: exit and message."""
+
+    CAP = "spectral computation for n=3 exceeds the cap n <= 2 (--spectral-cap)"
+    MISSING = (
+        "cannot read {what} file '{tmp}/missing.txt': "
+        "[Errno 2] No such file or directory: '{tmp}/missing.txt'"
+    )
+    QMAX = ["qmax", "mk", "3", "--state"]
+    CLASSIFY = ["classify", "--poly", "mk", "3", "--state"]
+    FRAME3 = ["--frame", "{tmp}/frame3.txt"]
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["--spectral-cap", "2", *QMAX, "ghz:3"], 3, CAP),
+            (["--spectral-cap", "2", *CLASSIFY, "ghz:3", *FRAME3], 3, CAP),
+            ([*QMAX, "ghz:x"], 4, "bad state spec 'ghz:x' (want ghz:n)"),
+            (
+                [*CLASSIFY, "bogus:3", *FRAME3], 4,
+                "unknown state spec 'bogus:3' (want ghz:, basis:, or file:)",
+            ),
+            ([*QMAX, "file:{tmp}/missing.txt"], 4, MISSING.replace("{what}", "state")),
+            ([*CLASSIFY, "file:{tmp}/missing.txt", *FRAME3], 4, MISSING.replace("{what}", "state")),
+            ([*QMAX, "ghz:4"], 2, "state has 4 qubits, polynomial has 3 parties"),
+            ([*QMAX, "file:{tmp}/ghz2.txt"], 2, "state has 2 qubits, polynomial has 3 parties"),
+            ([*CLASSIFY, "basis:2:1", *FRAME3], 2, "state has 2 qubits, polynomial has 3 parties"),
+            (
+                [*CLASSIFY, "file:{tmp}/ghz2.txt", *FRAME3], 2,
+                "state has 2 qubits, polynomial has 3 parties",
+            ),
+            (
+                [*CLASSIFY, "ghz:3", "--frame", "{tmp}/frame2.txt"], 2,
+                "polynomial has 3 parties, frame has 2",
+            ),
+            (
+                [*CLASSIFY, "ghz:3", "--frame", "{tmp}/missing.txt"], 4,
+                MISSING.replace("{what}", "frame"),
+            ),
+            (
+                [*CLASSIFY, "ghz:3", "--frame", "{tmp}/frame_short.txt"], 4,
+                "line 4: expected three reals, got '1 0'",
+            ),
+            (
+                [*CLASSIFY, "ghz:3", "--frame", "{tmp}/frame_nan.txt"], 4,
+                "line 2: (nan, 0.0, 0.0) has norm nan, not a unit vector",
+            ),
+            ([*QMAX, "file:{tmp}/nan3.txt"], 4, "state norm is nan, not 1 within 1e-12"),
+            (
+                [*CLASSIFY, "file:{tmp}/nan3.txt", *FRAME3], 4,
+                "state norm is nan, not 1 within 1e-12",
+            ),
+        ],
+        ids=[
+            "cap-qmax", "cap-classify", "spec-qmax", "spec-classify", "state-file-qmax",
+            "state-file-classify", "state-count-qmax-ghz", "state-count-qmax-file",
+            "state-count-classify-basis", "state-count-classify-file", "frame-count", "frame-file",
+            "frame-line", "frame-nan", "state-nan-qmax", "state-nan-classify",
+        ],
+    )
+    def test_exit_code_and_message(self, argv, code, message, tmp_path):
+        files = {
+            "frame3.txt": Q.frame_to_text(mermin3_frame()),
+            "frame2.txt": Q.frame_to_text(chsh_frame()),
+            "frame_short.txt": "n=3\n1 0 0\n0 1 0\n1 0\n0 1 0\n0 -1 0\n1 0 0\n",
+            "frame_nan.txt": "n=3\nnan 0 0\n" + "1 0 0\n" * 5,
+            "ghz2.txt": "0.7071067811865476 0\n0 0\n0 0\n0.7071067811865476 0\n",
+            "nan3.txt": "nan 0\n" + "0 0\n" * 7,
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        res = run_cli(*(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
+        assert (res.code, res.err) == (code, f"error: {message.replace('{tmp}', str(tmp_path))}\n")
 
 
 class TestSubprocess:

@@ -707,7 +707,7 @@ class TestLayering:
         ]
         assert users == ["polynomial.py"]
 
-    def test_cli_reads_no_private_name_of_classify_or_models(self):
+    def test_cli_reads_no_private_name_of_any_module(self):
         tree = ast.parse((self.SOURCES / "cli.py").read_text())
         read = {
             f"{node.value.id}.{node.attr}"
@@ -720,5 +720,6 @@ class TestLayering:
             if isinstance(node, ast.ImportFrom)
             for alias in node.names
         }
+        modules = "|".join(path.stem for path in self.SOURCES.glob("*.py"))
         assert "classify.depth_thresholds" in read
-        assert not {name for name in read | imported if re.match(r"(classify|models)\._", name)}
+        assert not {name for name in read | imported if re.match(rf"({modules})\._", name)}

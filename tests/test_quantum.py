@@ -25,6 +25,8 @@ from bellpoly.quantum import DensityMatrix, MeasurementFrame, PureState, UnitVec
 
 from conftest import SQRT2, chsh_frame, mermin3_frame, svetlichny3_frame
 
+CAP_MESSAGE = "spectral computation for n=4 exceeds the cap n <= 3 (--spectral-cap)"
+
 
 def random_dyadic_polynomial(n: int, rng: np.random.Generator) -> Polynomial:
     masks = rng.choice(1 << n, size=int(rng.integers(1, 1 << n)), replace=False)
@@ -101,8 +103,9 @@ class TestObservable:
             assert abs(np.trace(obs)) < 1e-12
 
     def test_non_unit_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            UnitVector(1.0, 1.0, 0.0)
+        for x, y in ((1.0, 1.0), (math.nan, 0.0), (math.inf, 0.0)):
+            with pytest.raises(InvalidArgumentError):
+                UnitVector(x, y, 0.0)
 
 
 class TestBellOperator:
@@ -141,6 +144,18 @@ class TestBellOperator:
         with pytest.raises(InvalidArgumentError):
             Q.bell_operator(P.mk(3), chsh_frame())
 
+    def test_spectral_cap(self):
+        frame = Q.random_frame(4, np.random.default_rng(0))
+        with pytest.raises(ResourceLimitError) as err:
+            Q.bell_operator(P.mk(4), frame, cap=3)
+        assert str(err.value) == CAP_MESSAGE
+        assert Q.bell_operator(P.mk(4), frame, cap=4).n == 4
+
+    def test_nan_entries_rejected(self):
+        frame = Q.random_frame(1, np.random.default_rng(0))
+        with pytest.raises(NumericalIntegrityError, match="not Hermitian"):
+            Q.BellOperator(1, np.array([[math.nan, 0.0], [0.0, 1.0]]), (P.mk(1), frame))
+
     def test_hermitian_and_norm_bounded(self):
         rng = np.random.default_rng(11)
         for n in (2, 3):
@@ -176,8 +191,9 @@ class TestStates:
         assert state.amplitudes[1] == 1.0
 
     def test_pure_state_norm_enforced(self):
-        with pytest.raises(InvalidArgumentError):
-            PureState(1, np.array([1.0, 1.0]))
+        for first in (1.0, math.nan, math.inf):
+            with pytest.raises(InvalidArgumentError):
+                PureState(1, np.array([first, 1.0]))
 
     def test_density_matrix_validation(self):
         rho = np.eye(2) / 2
@@ -188,6 +204,8 @@ class TestStates:
             DensityMatrix(1, np.array([[1.0, 1.0], [-1.0, 0.0]]))  # not hermitian
         with pytest.raises(InvalidArgumentError):
             DensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
+        with pytest.raises(InvalidArgumentError):
+            DensityMatrix(1, np.array([[0.5, math.nan], [math.nan, 0.5]]))
 
 
 class TestExpectation:
@@ -523,6 +541,13 @@ class TestSeesaw:
         result = Q.seesaw(P.svetlichny(3), Q.ghz(3), restarts=8, seed=1)
         assert result.value == pytest.approx(SQRT2, abs=1e-6)
 
+    def test_spectral_cap(self):
+        """The cap is checked before the state's party count."""
+        with pytest.raises(ResourceLimitError) as err:
+            Q.seesaw(P.mk(4), Q.ghz(2), restarts=1, seed=0, cap=3)
+        assert str(err.value) == CAP_MESSAGE
+        assert Q.seesaw(P.mk(4), Q.ghz(4), restarts=1, seed=0, cap=4).frame.n == 4
+
     def test_history_is_monotone(self):
         result = Q.seesaw(P.svetlichny(3), Q.ghz(3), restarts=4, seed=9)
         history = np.array(result.history)
@@ -612,8 +637,9 @@ class TestQuantumMax:
         assert Q.expectation(op, result.state) == pytest.approx(top, abs=1e-8)
 
     def test_spectral_cap(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError) as err:
             Q.quantum_max(P.mk(4), restarts=1, seed=0, cap=3)
+        assert str(err.value) == CAP_MESSAGE
 
     def test_mk10_at_the_default_cap(self):
         result = Q.quantum_max(P.mk(10), restarts=1, seed=1)
@@ -654,8 +680,9 @@ class TestBlockProductMax:
         assert result.value == pytest.approx(value, abs=1e-12)
 
     def test_spectral_cap(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError) as err:
             Q.block_product_max(P.mk(4), (0,), restarts=1, seed=0, cap=3)
+        assert str(err.value) == CAP_MESSAGE
 
 
 class TestSearchSkeleton:
@@ -759,37 +786,53 @@ class TestTextInterfaces:
         assert (str(err.value), err.value.line) == (message, line)
 
     def test_state_specs(self):
-        assert np.array_equal(Q.parse_state("ghz:3").amplitudes, Q.ghz(3).amplitudes)
-        assert Q.parse_state("basis:2:1").amplitudes[1] == 1.0
+        assert np.array_equal(Q.parse_state("ghz:3", 3).amplitudes, Q.ghz(3).amplitudes)
+        assert Q.parse_state("basis:2:1", 2).amplitudes[1] == 1.0
         with pytest.raises(DataFormatError):
-            Q.parse_state("ghz:zero")
+            Q.parse_state("ghz:zero", 3)
         with pytest.raises(DataFormatError):
-            Q.parse_state("unknown:3")
+            Q.parse_state("unknown:3", 3)
 
     def test_state_file(self, tmp_path):
         path = tmp_path / "state.txt"
         amps = Q.ghz(2).amplitudes
         path.write_text("\n".join(f"{float(a.real)!r} {float(a.imag)!r}" for a in amps))
-        state = Q.parse_state(f"file:{path}")
+        state = Q.parse_state(f"file:{path}", 2)
         assert np.allclose(state.amplitudes, amps)
 
     def test_state_file_errors(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1.0 0.0\n0.5 0.0\n")  # not normalized
         with pytest.raises(DataFormatError):
-            Q.parse_state(f"file:{path}")
+            Q.parse_state(f"file:{path}", 1)
         path.write_text("1.0 0.0\n0.0 0.0\n0.0 0.0\n")  # not a power of two
         with pytest.raises(DataFormatError):
-            Q.parse_state(f"file:{path}")
+            Q.parse_state(f"file:{path}", 2)
         with pytest.raises(DataFormatError):
-            Q.parse_state("file:/does/not/exist")
+            Q.parse_state("file:/does/not/exist", 2)
+
+    @pytest.mark.parametrize("spec", ["ghz:30", "basis:30:0", "file:STATE"])
+    def test_state_count_checked_before_the_state_is_built(self, spec, tmp_path, monkeypatch):
+        """A count the caller does not expect is refused; 2^30 amplitudes are 16 GiB."""
+
+        def refuse(*args):
+            raise AssertionError(f"built a state for {args}")
+
+        monkeypatch.setattr(Q, "ghz", refuse)
+        monkeypatch.setattr(Q, "basis_state", refuse)
+        path = tmp_path / "state.txt"
+        path.write_text("1.0 0.0\n" + "0.0 0.0\n" * 31)  # 32 amplitudes: 5 qubits
+        with pytest.raises(InvalidArgumentError) as err:
+            Q.parse_state(spec.replace("STATE", str(path)), 3)
+        qubits = 5 if spec.startswith("file:") else 30
+        assert str(err.value) == f"state has {qubits} qubits, polynomial has 3 parties"
 
     def test_state_file_error_lines(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# amplitudes\n1.0 0.0\n\nx 0.0\n")
         with pytest.raises(DataFormatError) as err:
-            Q.parse_state(f"file:{path}")
+            Q.parse_state(f"file:{path}", 2)
         assert (str(err.value), err.value.line) == ("line 4: bad amplitude in 'x 0.0'", 4)
         with pytest.raises(DataFormatError) as err:
-            Q.parse_state("file:/does/not/exist")
+            Q.parse_state("file:/does/not/exist", 2)
         assert str(err.value).startswith("cannot read state file '/does/not/exist': ")
