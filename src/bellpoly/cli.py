@@ -259,10 +259,6 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str
         correlations = parse_correlation_text(
             polynomial.read_text_file(args.correlations, "correlation file")
         )
-        if correlations.n != poly.n:
-            raise DataFormatError(
-                f"correlation file is for {correlations.n} parties, polynomial has {poly.n}"
-            )
         value = polynomial.evaluate(poly, correlations)
         source = {"type": "correlations", "path": args.correlations}
     else:

@@ -16,7 +16,10 @@ Both enumerations run on the coefficients scaled to integers at the common
 denominator 2**K (K the largest log2 denominator), so every objective value
 is an exact integer sum and a bound is that integer over 2**K.  That scaled
 tensor comes from polynomial._scaled_tensor, which owns the rule for its
-dtype: int64 while no signed partial sum can wrap, Python ints beyond.
+dtype: the narrowest of int16, int32 and int64 that holds the coefficients'
+absolute sum, Python ints beyond.  That sum bounds every signed partial sum
+and every objective, and every split's block matrix holds the same entries,
+so the hybrid scan is exact in the tensor's own dtype.
 Every returned witness is re-summed by a second integer contraction, the
 same one through which evaluate_local and evaluate_hybrid compute a value,
 so a witness evaluates to exactly its bound.
@@ -65,8 +68,9 @@ DEFAULT_BRUTE_SETTINGS_CAP = 8  # max 2**|block| per side for the oracle
 # c = 0 -> (+1, +1), 1 -> (+1, -1), 2 -> (-1, +1), 3 -> (-1, -1).
 # Lower c is the lexicographically smaller encoding (+1 sorts before -1).
 _CHOICES = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int64)
-# log2 of the entries in one chunk of the hybrid scan: 256 KiB of int64 stays
-# in a core's cache (about 4x faster per mk(9) 4|5 split than chunks of 2**19)
+# log2 of the entries in one chunk of the hybrid scan: 64 KiB of int16 (256 KiB
+# of int64) stays in a core's cache; 2**14 to 2**16 time alike, 2**13 and
+# 2**17 are slower
 _CHUNK_LOG2 = 15
 
 
@@ -343,18 +347,20 @@ def _doubling_table(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _halved_chunks(coef: np.ndarray):
-    """The block-B effective rows of every A strategy with tuple 0 at +1, in order.
+    """The block-B effective columns of every A strategy with tuple 0 at +1, in order.
 
-    A suffix table of at most 2**_CHUNK_LOG2 entries covers the last tuples,
-    and each chunk is one row of the prefix table (the leading tuples) plus
-    it; with no leading tuples the one chunk is the whole table.
+    Each chunk is indexed (B tuple, strategy).  A suffix table of at most
+    2**_CHUNK_LOG2 entries covers the last tuples, built once and stored in
+    that layout, and each chunk is one row of the prefix table (the leading
+    tuples) added to every column of it; with no leading tuples the one chunk
+    is the whole table.
     """
     free = coef.shape[0] - 1
     suffix_log2 = max(_CHUNK_LOG2 - (coef.shape[1].bit_length() - 1), 0)
     split = max(free - suffix_log2, 0)
-    suffix = _doubling_table(np.zeros_like(coef[0]), coef[1 + split :])
+    suffix = np.ascontiguousarray(_doubling_table(np.zeros_like(coef[0]), coef[1 + split :]).T)
     for row in _doubling_table(coef[0], coef[1 : 1 + split]):
-        yield row + suffix
+        yield row[:, None] + suffix
 
 
 def _check_partition(p: Polynomial, partition: Bipartition) -> None:
@@ -398,15 +404,16 @@ def _hybrid_sum(tensor: np.ndarray, block_a: BlockStrategy, block_b: BlockStrate
 
 
 def _scan(coef: np.ndarray) -> tuple[int, int, np.ndarray]:
-    """(best objective, its A strategy's index, its block-B effective row) over _halved_chunks."""
+    """(best objective, its A strategy's index, its block-B effective column) over _halved_chunks."""
     best = None
     start = 0
     for effective in _halved_chunks(coef):
-        objective = np.abs(effective).sum(axis=1)
+        # coef's dtype holds every sum; numpy's default would widen small integers
+        objective = np.abs(effective).sum(axis=0, dtype=coef.dtype)
         i = int(np.argmax(objective))
         if best is None or objective[i] > best:
-            best, best_index, best_effective = int(objective[i]), start + i, effective[i]
-        start += len(effective)
+            best, best_index, best_effective = int(objective[i]), start + i, effective[:, i].copy()
+        start += effective.shape[1]
     return best, best_index, best_effective
 
 

@@ -11,7 +11,8 @@ Party indices are 0-based inside the library and 1-based in every text form
 This module alone reads a polynomial's {prime mask: coefficient} store: every
 constructor hands `_build` a fresh dict to check and keep, and the coefficient
 tensors of the other modules are built here, `_coefficient_tensor` (float64)
-for quantum and `_scaled_tensor` for models, which owns the int64/object rule.
+for quantum and `_scaled_tensor` for models, which owns the rule for its
+integer dtype: the narrowest that no signed sum of the coefficients overflows.
 """
 
 from __future__ import annotations
@@ -358,12 +359,15 @@ def _coefficient_tensor(p: Polynomial) -> np.ndarray:
 def _scaled_tensor(p: Polynomial) -> tuple[np.ndarray, int]:
     """(T, K): the coefficient tensor times 2**K as exact integers, K the largest log2 denominator.
 
-    T is int64 when the scaled coefficients' absolute sum is below 2**62, so
-    no sum of them with signs can wrap, and an object array of Python ints
-    otherwise.
+    T has the narrowest dtype that holds the scaled coefficients' absolute
+    sum, so that no sum of them with signs can wrap: int16 below 2**15,
+    int32 below 2**31, int64 below 2**62, and an object array of Python ints
+    beyond.
     """
     scaled, k = _scaled_numerators(p)
-    dtype = np.int64 if sum(map(abs, scaled)) < 1 << 62 else object
+    total = sum(map(abs, scaled))
+    widths = ((np.int16, 1 << 15), (np.int32, 1 << 31), (np.int64, 1 << 62))
+    dtype = next((t for t, end in widths if total < end), object)
     w = np.zeros(1 << p.n, dtype=dtype)
     w[_flat_index(p)] = scaled
     return w.reshape((2,) * p.n), k
@@ -543,11 +547,25 @@ _TERM_LINE_RE = re.compile(r"^([+-])(\d+)/2\^(\d+)\s*\*\s*(.+)$")
 _PARTY_RE = re.compile(r"^A(\d+)(')?$")
 
 
+def _labels(parties: range) -> list[str]:
+    """Every prime mask's label over `parties` (1-based, the first one bit 0), each token after a space."""
+    table = [""]
+    for j in parties:
+        table = [t + f" A{j}" for t in table] + [t + f" A{j}'" for t in table]
+    return table
+
+
 def to_text(p: Polynomial) -> str:
-    """One term per line, masks ascending: `+1/2^1 * A1 A2'` etc."""
+    """One term per line, masks ascending: `+1/2^1 * A1 A2'` etc.
+
+    Each label joins those of its mask's low and high halves, read from two tables.
+    """
+    half = (p.n + 1) // 2
+    low, high = _labels(range(1, half + 1)), _labels(range(half + 1, p.n + 1))
+    low_bits = (1 << half) - 1
     return "\n".join(
         f"{'+' if c.numerator > 0 else '-'}{abs(c.numerator)}/2^{c.log2_denominator}"
-        f" * {_label(p.n, mask)}"
+        f" *{low[mask & low_bits]}{high[mask >> half]}"
         for mask, c in _by_mask(p).items()
     )
 

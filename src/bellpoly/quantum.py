@@ -17,9 +17,10 @@ Wolf, PRA 64, 032112, 2001).  A sweep builds T once from its state, and a
 party's two fields contract T with the other parties' Bloch vectors and then
 with the coefficients.
 
-`bell_operator` and the three searches, which build 4**n Bell matrices, take
-`cap` (default DEFAULT_SPECTRAL_CAP = 10) and raise ResourceLimitError for a
-polynomial of more than `cap` parties before they build anything.
+`bell_operator`, `effective_bloch` and the three searches, which build 4**n
+Bell or density matrices, take `cap` (default DEFAULT_SPECTRAL_CAP = 10) and
+raise ResourceLimitError for a polynomial of more than `cap` parties before
+they build anything.
 
 States enter as density matrices (a pure state as |psi><psi|), and every
 expectation is Re Tr(rho B).  The expectation is linear in each setting's
@@ -484,9 +485,16 @@ def _fields(w: np.ndarray, vectors: np.ndarray, t: np.ndarray, party: int) -> np
 
 
 def effective_bloch(
-    p: Polynomial, f: MeasurementFrame, state: State, party: int, primed: bool
+    p: Polynomial,
+    f: MeasurementFrame,
+    state: State,
+    party: int,
+    primed: bool,
+    *,
+    cap: int = DEFAULT_SPECTRAL_CAP,
 ) -> np.ndarray:
     """Gradient of the expectation with respect to one setting's Bloch vector."""
+    _check_cap(p, cap)
     if p.n != f.n:
         raise InvalidArgumentError(f"polynomial has {p.n} parties, frame has {f.n}")
     if p.n != state.n:

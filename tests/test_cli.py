@@ -225,6 +225,15 @@ class TestClassify:
         assert res.code == 4
         assert "line 3" in res.err
 
+    def test_party_count_mismatch_is_an_argument_error(self, tmp_path):
+        """Exit 2, as for a state or frame of the wrong party count."""
+        path = tmp_path / "chsh.corr"
+        path.write_text("n=2\n00 1\n01 1\n10 1\n11 -1\n")
+        res = run_cli("classify", "--poly", "mk", "3", "--correlations", str(path))
+        assert (res.code, res.err) == (
+            2, "error: correlation vector is for 2 parties, polynomial for 3\n"
+        )
+
     def test_state_and_frame(self, tmp_path):
         frame_path = tmp_path / "frame.txt"
         frame_path.write_text(Q.frame_to_text(mermin3_frame()))

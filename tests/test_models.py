@@ -505,6 +505,98 @@ class TestSharedScans:
             M.hybrid_bound_all(P.mk(4))
 
 
+def reference_halved_chunks(coef: np.ndarray):
+    """The row-major scan's chunks, one row per A strategy, kept as an oracle for the column-wise one."""
+    free = coef.shape[0] - 1
+    suffix_log2 = max(M._CHUNK_LOG2 - (coef.shape[1].bit_length() - 1), 0)
+    split = max(free - suffix_log2, 0)
+    suffix = M._doubling_table(np.zeros_like(coef[0]), coef[1 + split :])
+    for row in M._doubling_table(coef[0], coef[1 : 1 + split]):
+        yield row + suffix
+
+
+def reference_scan(coef: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """(best objective, its A strategy's index, its effective row), summed by numpy's default rule."""
+    best = None
+    start = 0
+    for effective in reference_halved_chunks(coef):
+        objective = np.abs(effective).sum(axis=1)
+        i = int(np.argmax(objective))
+        if best is None or objective[i] > best:
+            best, best_index, best_effective = int(objective[i]), start + i, effective[i]
+        start += len(effective)
+    return best, best_index, best_effective
+
+
+# each threshold of _scaled_tensor's dtype rule, and the first sum past it
+THRESHOLDS = [
+    (2**15 - 1, np.int16),
+    (2**15, np.int32),
+    (2**31 - 1, np.int32),
+    (2**31, np.int64),
+    (2**62 - 1, np.int64),
+    (2**62, object),
+]
+
+
+def with_abs_sum(shape, total: int, rng: np.random.Generator) -> np.ndarray:
+    """Random signed integers (object dtype) with absolute sum `total`; some rows and columns are zero."""
+    live = rng.random(shape) < 0.7
+    live[rng.random(shape[0]) < 0.3] = False  # a zero row ties each strategy with its flip there
+    live[:, rng.random(shape[1]) < 0.3] = False
+    live.flat[int(rng.integers(live.size))] = True
+    magnitudes = np.zeros(shape, dtype=object)
+    cells = np.flatnonzero(live)
+    # a random split of `total` over the live cells; the rounding remainder goes to one of them
+    weights = rng.random(len(cells))
+    shares = [int(total * w // weights.sum()) for w in weights]
+    shares[int(rng.integers(len(shares)))] += total - sum(shares)
+    magnitudes.flat[cells] = shares
+    return magnitudes * rng.choice([-1, 1], size=shape).astype(object)
+
+
+class TestColumnScan:
+    """_scan works column-wise in the tensor's own dtype and agrees with the row-major oracle."""
+
+    @pytest.mark.parametrize("total, dtype", THRESHOLDS)
+    def test_scaled_tensor_picks_the_narrowest_exact_dtype(self, total, dtype):
+        # |c| sums to `total` at the common denominator 2**3
+        p = P.from_text(f"+{total - 3}/2^3 * A1 A2\n-3/2^3 * A1' A2'")
+        tensor, k = P._scaled_tensor(p)
+        assert (tensor.dtype, k) == (np.dtype(dtype), 3)
+        assert tensor.ravel().tolist() == [total - 3, 0, 0, -3]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 4),
+        st.integers(0, 5),
+        st.sampled_from(THRESHOLDS[:4]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_row_major_scan(self, rows_log2, cols_log2, threshold, as_objects, seed):
+        total, dtype = threshold
+        exact = with_abs_sum((1 << rows_log2, 1 << cols_log2), total, np.random.default_rng(seed))
+        coef = exact if as_objects else exact.astype(dtype)
+        best, index, column = M._scan(coef)
+        expected, expected_index, row = reference_scan(exact.astype(np.int64))
+        assert (best, index, column.tolist()) == (expected, expected_index, row.tolist())
+        assert column.dtype == coef.dtype
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 5), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_int16_tensor_matches_the_oracle_on_every_split(self, n, at_threshold, seed):
+        rng = np.random.default_rng(seed)
+        if at_threshold:
+            p = P._from_numerators(n, with_abs_sum((1, 1 << n), 2**15 - 1, rng)[0], 0)
+        else:
+            p = random_dyadic(n, rng)
+        assert P._scaled_tensor(p)[0].dtype == np.int16
+        for partition, result in M.hybrid_bound_all(p):
+            brute = M.brute_hybrid_bound(p, partition, max_settings=16)
+            assert result.as_dict() == brute.as_dict()
+
+
 class TestBruteOracle:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_fast_path(self, n):

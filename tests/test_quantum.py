@@ -429,6 +429,16 @@ class TestEffectiveBloch:
         g = Q.effective_bloch(P.mk(1), frame, Q.basis_state(1, 0), 0, False)
         assert np.allclose(g, [0.0, 0.0, 1.0], atol=1e-14)
 
+    def test_spectral_cap(self, monkeypatch):
+        """The cap is checked before the state's party count and before any density matrix."""
+        frame = Q.random_frame(4, np.random.default_rng(0))
+        monkeypatch.setattr(Q, "_density", lambda state: pytest.fail("density matrix built"))
+        with pytest.raises(ResourceLimitError) as err:
+            Q.effective_bloch(P.mk(4), frame, Q.ghz(2), 0, False, cap=3)
+        assert str(err.value) == CAP_MESSAGE
+        monkeypatch.undo()
+        assert Q.effective_bloch(P.mk(4), frame, Q.ghz(4), 0, False, cap=4).shape == (3,)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_reconstructs_expectation(self, seed):
         rng = np.random.default_rng(seed)
