@@ -25,8 +25,9 @@ same one through which evaluate_local and evaluate_hybrid compute a value,
 so a witness evaluates to exactly its bound.
 
 Within one hybrid_bound_all call, splits with equal integer block matrices
-share one scan (every named family has 4 distinct matrices at n = 8 and 9);
-each split still builds and re-sums its own witness.
+share one scan and the witness products it found (every named family has 4
+distinct matrices at n = 8 and 9); each split re-sums that witness on its own
+block matrix.
 """
 
 from __future__ import annotations
@@ -193,8 +194,10 @@ class BlockStrategy:
                 f"block of {len(self.parties)} parties needs {expected} products, "
                 f"got {len(self.products)}"
             )
-        for v in self.products:
-            _require_pm1(v, "block product")
+        # count compares by ==, so True, 1.0 and np.int64(1) pass as before
+        if self.products.count(1) + self.products.count(-1) != len(self.products):
+            for v in self.products:
+                _require_pm1(v, "block product")
 
     def product_for(self, prime_mask: int) -> int:
         return self.products[_extract_bits(prime_mask, self.parties)]
@@ -397,10 +400,9 @@ def hybrid_bound(
     return _hybrid_bound(_scaled_tensor(p), partition, {})
 
 
-def _hybrid_sum(tensor: np.ndarray, block_a: BlockStrategy, block_b: BlockStrategy) -> int:
-    """The scaled polynomial's integer value under one pair of block strategies."""
-    coef = _block_coefficient_matrix(tensor, block_a.parties, block_b.parties)
-    return int(np.array(block_a.products) @ coef @ np.array(block_b.products))
+def _hybrid_sum(coef: np.ndarray, products_a: tuple[int, ...], products_b: tuple[int, ...]) -> int:
+    """The scaled polynomial's integer value under one pair of block products, on its block matrix."""
+    return int(np.array(products_a) @ coef @ np.array(products_b))
 
 
 def _scan(coef: np.ndarray) -> tuple[int, int, np.ndarray]:
@@ -423,25 +425,26 @@ def _hybrid_bound(
     """hybrid_bound on the polynomial's _scaled_tensor, which hybrid_bound_all builds once.
 
     scans holds the _scan of every block matrix seen so far, keyed by shape
-    and exact entries; the witness is still built and re-summed per split.
+    and exact entries, so its witness products are built once per matrix;
+    each split wraps them for its own parties and re-sums them on its own
+    block matrix.
     """
     a = partition.block_a_parties
     b = partition.block_b_parties
     tensor, k = scaled
     coef = _block_coefficient_matrix(tensor, a, b)
-    key = (coef.shape, tuple(coef.ravel().tolist()))  # Python ints: exact on both dtypes
+    if coef.dtype == object:
+        key = (coef.shape, tuple(coef.ravel().tolist()))
+    else:
+        key = (coef.shape, coef.dtype, coef.tobytes())
     if key not in scans:
-        scans[key] = _scan(coef)
-    best, best_index, best_effective = scans[key]
-    num_tuples = coef.shape[0]
-    row_a = 1 - 2 * ((best_index >> np.arange(num_tuples - 1, -1, -1)) & 1)
-    col_b = np.where(best_effective >= 0, 1, -1)
-    witness = HybridWitness(
-        partition=partition,
-        block_a=BlockStrategy(a, tuple(row_a.tolist())),
-        block_b=BlockStrategy(b, tuple(col_b.tolist())),
-    )
-    resummed = _hybrid_sum(tensor, witness.block_a, witness.block_b)
+        best, best_index, best_effective = _scan(coef)
+        row_a = 1 - 2 * ((best_index >> np.arange(coef.shape[0] - 1, -1, -1)) & 1)
+        col_b = np.where(best_effective >= 0, 1, -1)
+        scans[key] = best, tuple(row_a.tolist()), tuple(col_b.tolist())
+    best, row_a, col_b = scans[key]
+    witness = HybridWitness(partition, BlockStrategy(a, row_a), BlockStrategy(b, col_b))
+    resummed = _hybrid_sum(coef, row_a, col_b)
     if resummed != best:
         raise NumericalIntegrityError(
             f"hybrid bound {partition.to_text()}: the scan found {best} but its "
@@ -492,7 +495,8 @@ def evaluate_hybrid(
     if block_b.parties != partition.block_b_parties:
         raise InvalidArgumentError("block B strategy does not match the bipartition")
     tensor, k = _scaled_tensor(p)
-    return float(DyadicCoefficient(_hybrid_sum(tensor, block_a, block_b), k))
+    coef = _block_coefficient_matrix(tensor, block_a.parties, block_b.parties)
+    return float(DyadicCoefficient(_hybrid_sum(coef, block_a.products, block_b.products), k))
 
 
 @dataclass(frozen=True)
@@ -517,7 +521,7 @@ def hybrid_bound_all(
     Splits with equal integer block matrices share one scan.  Every named
     family is invariant under party permutations, so it has one matrix per
     block size: 4 scans for the 127 or 255 splits at n = 8, 9.  Each split
-    still builds and re-sums its own witness.
+    re-sums the shared witness on its own block matrix.
     """
     if p.n // 2 > max_block_size:  # fail before computing any partition
         raise ResourceLimitError(

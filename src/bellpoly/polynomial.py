@@ -8,11 +8,14 @@ polynomial is evaluated against numeric correlation data.
 Party indices are 0-based inside the library and 1-based in every text form
 (A1, A2', ...).
 
-This module alone reads a polynomial's {prime mask: coefficient} store: every
-constructor hands `_build` a fresh dict to check and keep, and the coefficient
-tensors of the other modules are built here, `_coefficient_tensor` (float64)
-for quantum and `_scaled_tensor` for models, which owns the rule for its
-integer dtype: the narrowest that no signed sum of the coefficients overflows.
+This module alone reads a polynomial's array store: the prime masks in
+ascending order, each coefficient's integer numerator over one shared power
+of two (int64 where every numerator fits, Python ints beyond), and that
+power's exponent.  Every constructor hands `_build` arrays to check and keep,
+and the coefficient tensors of the other modules are built here, each by one
+scatter: `_coefficient_tensor` (float64) for quantum and `_scaled_tensor` for
+models, which owns the rule for its integer dtype: the narrowest that no
+signed sum of the coefficients overflows.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ __all__ = [
 
 
 def _check_party_count(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidArgumentError(f"party count must be a positive integer, got {n!r}")
 
 
@@ -230,31 +233,40 @@ ZERO = DyadicCoefficient(0)
 
 
 class _TermView(Mapping):
-    """Read-only {Term: coefficient} view over a polynomial's {prime mask: coefficient} dict.
+    """Read-only {Term: coefficient} view over a polynomial's array store.
 
-    Lookups, `len` and `values()` read the mask dict.  The Term keys are made
-    the first time the view is iterated (`iter`, `keys()`, `items()`) and kept.
+    The store: `_masks` ascending, `_numerators` (each coefficient times
+    2**_k) and `_k`.  Lookups, `len` and equality read it.  The coefficients,
+    one object per distinct value, are made when first asked for, and the
+    Term keys when the view is first iterated (`iter`, `keys()`, `items()`);
+    both are kept.
     """
 
-    __slots__ = ("_n", "_by_mask", "_by_term")
+    __slots__ = ("_n", "_masks", "_numerators", "_k", "_coefficients", "_by_term")
 
-    def __init__(self, n: int, by_mask: dict[int, DyadicCoefficient]) -> None:
+    def __init__(self, n: int, masks: np.ndarray, numerators: np.ndarray, k: int) -> None:
         self._n = n
-        self._by_mask = MappingProxyType(by_mask)
+        self._masks = masks
+        self._numerators = numerators
+        self._k = k
+        self._coefficients: tuple[DyadicCoefficient, ...] | None = None
         self._by_term: dict[Term, DyadicCoefficient] | None = None
 
     def _terms(self) -> dict[Term, DyadicCoefficient]:
         if self._by_term is None:
-            self._by_term = {Term(self._n, m): c for m, c in self._by_mask.items()}
+            keys = (Term(self._n, m) for m in self._masks.tolist())
+            self._by_term = dict(zip(keys, self.values()))
         return self._by_term
 
     def __getitem__(self, term: Term) -> DyadicCoefficient:
-        if isinstance(term, Term) and term.n == self._n and term.prime_mask in self._by_mask:
-            return self._by_mask[term.prime_mask]
+        if isinstance(term, Term) and term.n == self._n:
+            i = int(np.searchsorted(self._masks, term.prime_mask))
+            if i < len(self._masks) and self._masks[i] == term.prime_mask:
+                return self.values()[i]
         raise KeyError(term)
 
     def __len__(self) -> int:
-        return len(self._by_mask)
+        return len(self._masks)
 
     def __iter__(self) -> Iterator[Term]:
         return iter(self._terms())
@@ -265,13 +277,23 @@ class _TermView(Mapping):
     def items(self):
         return self._terms().items()
 
-    def values(self):
-        return self._by_mask.values()
+    def values(self) -> tuple[DyadicCoefficient, ...]:
+        """Each term's coefficient, masks ascending."""
+        if self._coefficients is None:
+            numerators = self._numerators.tolist()
+            shared = {v: DyadicCoefficient(v, self._k) for v in set(numerators)}
+            self._coefficients = tuple(map(shared.__getitem__, numerators))
+        return self._coefficients
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _TermView):
             # empty views are equal whatever their party counts, as empty dicts are
-            return self._by_mask == other._by_mask and (self._n == other._n or not self)
+            return (
+                (self._n == other._n or not self)
+                and self._k == other._k
+                and np.array_equal(self._masks, other._masks)
+                and np.array_equal(self._numerators, other._numerators)
+            )
         return self._terms() == other
 
     def __repr__(self) -> str:
@@ -283,10 +305,11 @@ class Polynomial:
     """A signed dyadic combination of Terms, all sharing the same party count.
 
     Zero coefficients are never stored; the empty polynomial is legal.  The
-    coefficients are stored once, in a dict keyed by prime mask in ascending
-    order.  `terms` is a read-only Mapping[Term, DyadicCoefficient] view of
-    that dict: lookups need no Term objects, and its Term keys are made once,
-    the first time it is iterated, and then kept with the polynomial.
+    coefficients are stored once, as integer numerators over one shared power
+    of two, in arrays keyed by prime mask in ascending order.  `terms` is a
+    read-only Mapping[Term, DyadicCoefficient] view of that store: lookups
+    need no Term objects, and its coefficients and Term keys are made once,
+    when first asked for, and then kept with the polynomial.
     """
 
     n: int
@@ -305,55 +328,101 @@ class Polynomial:
                     f"term {term.label()} has n={term.n}, polynomial has n={self.n}"
                 )
             by_mask[term.prime_mask] = coef
-        object.__setattr__(self, "terms", _build(self.n, by_mask).terms)
+        object.__setattr__(self, "terms", _from_coefficients(self.n, by_mask).terms)
 
     def coefficient(self, term: Term) -> DyadicCoefficient:
         return self.terms.get(term, ZERO)
 
 
-def _build(n: int, by_mask: dict[int, DyadicCoefficient]) -> Polynomial:
-    """The polynomial with coefficient by_mask[m] on prime mask m; every entry path ends here.
+_INT64_END = 1 << 63
 
-    `by_mask` must be a fresh dict: it is checked and kept, re-ordered only if not ascending.
+
+def _mask_dtype(n: int) -> type:
+    """int64 holds the prime masks of fewer than 63 parties; Python ints hold any."""
+    return np.int64 if n < 63 else object
+
+
+def _max_abs(numerators: np.ndarray) -> int:
+    return int(np.abs(numerators).max(initial=0))
+
+
+def _build(n: int, masks, numerators, k: int) -> Polynomial:
+    """The polynomial with coefficient numerators[i] / 2**k on prime mask masks[i]; every entry path ends here.
+
+    Masks must be strictly ascending.  Arrays are kept, not copied; lists
+    become arrays of Python ints.  The numerators' common trailing zero bits,
+    at most k of them, are stripped, and they are kept as int64 where every
+    one fits, as Python ints beyond.
     """
     _check_party_count(n)
-    end = 1 << n
-    for m, coef in by_mask.items():
-        if not isinstance(coef, DyadicCoefficient):
-            raise InvalidArgumentError("coefficients must be DyadicCoefficient")
-        if coef.numerator == 0:
+    masks, numerators = (
+        v if isinstance(v, np.ndarray) else np.array(v, dtype=object) for v in (masks, numerators)
+    )
+    bad = (numerators == 0) | (masks < 0) | (masks >= 1 << n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if numerators[i] == 0:
             raise InvalidArgumentError("zero coefficients must not be stored")
-        if not isinstance(m, int) or not 0 <= m < end:
-            raise InvalidArgumentError(f"prime_mask must lie in [0, 2^{n}), got {m!r}")
-    ascending = sorted(by_mask)
-    if ascending != list(by_mask):
-        by_mask = {m: by_mask[m] for m in ascending}
-    return Polynomial(n, _TermView(n, by_mask))
+        raise InvalidArgumentError(f"prime_mask must lie in [0, 2^{n}), got {masks.tolist()[i]!r}")
+    masks = masks.astype(_mask_dtype(n), copy=False)
+    if np.any(masks[1:] <= masks[:-1]):
+        raise InvalidArgumentError("prime masks must be strictly ascending")
+    low = int(np.bitwise_or.reduce(numerators)) if len(numerators) else 0
+    shift = min(k, (low & -low).bit_length() - 1) if low else k
+    if shift:
+        numerators = numerators >> shift
+    if numerators.dtype == object and _max_abs(numerators) < _INT64_END:
+        numerators = numerators.astype(np.int64)
+    masks.flags.writeable = numerators.flags.writeable = False
+    return Polynomial(n, _TermView(n, masks, numerators, k - shift))
 
 
-def _by_mask(p: Polynomial) -> Mapping[int, DyadicCoefficient]:
-    """p's coefficients keyed by prime mask, ascending; read-only."""
-    return p.terms._by_mask
+def _from_coefficients(n: int, by_mask: Mapping[int, DyadicCoefficient]) -> Polynomial:
+    """The polynomial with coefficient by_mask[m] on prime mask m, masks in any order."""
+    if not all(isinstance(c, DyadicCoefficient) for c in by_mask.values()):
+        raise InvalidArgumentError("coefficients must be DyadicCoefficient")
+    k = max((c.log2_denominator for c in by_mask.values()), default=0)
+    masks = sorted(by_mask)
+    coefs = map(by_mask.__getitem__, masks)
+    return _build(n, masks, [c.numerator << (k - c.log2_denominator) for c in coefs], k)
 
 
-def _scaled_numerators(p: Polynomial) -> tuple[list[int], int]:
-    """([c * 2**K for each coefficient c, in mask order], K), K the largest log2 denominator."""
-    coefs = _by_mask(p).values()
-    k = max((c.log2_denominator for c in coefs), default=0)
-    return [c.numerator << (k - c.log2_denominator) for c in coefs], k
+def _store(p: Polynomial) -> tuple[np.ndarray, np.ndarray, int]:
+    """(masks, numerators, K): p's coefficient numerators[i] / 2**K on prime mask masks[i]; read-only."""
+    view = p.terms
+    return view._masks, view._numerators, view._k
 
 
-def _flat_index(p: Polynomial) -> np.ndarray:
-    """Each term's C-order index into the (2,) * n tensor: party 0's bit is the most significant."""
-    masks = np.fromiter(_by_mask(p), dtype=np.int64, count=len(p.terms))
-    return sum(((masks >> j) & 1) << (p.n - 1 - j) for j in range(p.n))
+def _mask_items(p: Polynomial) -> Iterator[tuple[int, DyadicCoefficient]]:
+    """(prime mask, coefficient) of every term of p, masks ascending."""
+    return zip(_store(p)[0].tolist(), p.terms.values())
+
+
+def _abs_sum(numerators: np.ndarray) -> int:
+    """The exact sum of |numerators| as a Python int."""
+    magnitudes = np.abs(numerators)
+    if magnitudes.dtype == object:
+        return int(magnitudes.sum())
+    # each half's sum stays below 2**63 for up to 2**31 terms
+    return (int((magnitudes >> 31).sum()) << 31) + int((magnitudes & 0x7FFFFFFF).sum())
+
+
+def _tensor(p: Polynomial, values, dtype) -> np.ndarray:
+    """Shape (2,) * n, values[i] at p's i-th prime mask; axis j is party j's setting (0 plain, 1 primed)."""
+    w = np.zeros(1 << p.n, dtype=dtype)
+    w[_store(p)[0]] = values
+    # bit j of a mask is party j, so indexed by mask the axes run from party n-1 down
+    return np.ascontiguousarray(w.reshape((2,) * p.n).transpose(range(p.n - 1, -1, -1)))
 
 
 def _coefficient_tensor(p: Polynomial) -> np.ndarray:
     """Shape (2,) * n; axis j is party j's setting (0 plain, 1 primed)."""
-    w = np.zeros(1 << p.n)
-    w[_flat_index(p)] = [float(coef) for coef in _by_mask(p).values()]
-    return w.reshape((2,) * p.n)
+    _, numerators, k = _store(p)
+    if numerators.dtype == object or k > 1021:
+        values = [v / (1 << k) for v in numerators.tolist()]
+    else:  # one rounding, to float64, as the division above: 2**-k keeps the result normal
+        values = np.ldexp(numerators, -k)
+    return _tensor(p, values, np.float64)
 
 
 def _scaled_tensor(p: Polynomial) -> tuple[np.ndarray, int]:
@@ -364,13 +433,11 @@ def _scaled_tensor(p: Polynomial) -> tuple[np.ndarray, int]:
     int32 below 2**31, int64 below 2**62, and an object array of Python ints
     beyond.
     """
-    scaled, k = _scaled_numerators(p)
-    total = sum(map(abs, scaled))
+    _, numerators, k = _store(p)
+    total = _abs_sum(numerators)
     widths = ((np.int16, 1 << 15), (np.int32, 1 << 31), (np.int64, 1 << 62))
     dtype = next((t for t, end in widths if total < end), object)
-    w = np.zeros(1 << p.n, dtype=dtype)
-    w[_flat_index(p)] = scaled
-    return w.reshape((2,) * p.n), k
+    return _tensor(p, numerators, dtype), k
 
 
 @dataclass(frozen=True)
@@ -426,10 +493,7 @@ def _mk_numerators(n: int) -> np.ndarray:
 def _from_numerators(n: int, numerators: np.ndarray, log2_denominator: int) -> Polynomial:
     """The polynomial with coefficient numerators[mask] / 2**log2_denominator."""
     masks = np.flatnonzero(numerators)
-    values = numerators[masks].tolist()
-    # one immutable coefficient object per distinct value
-    coefs = {v: DyadicCoefficient(v, log2_denominator) for v in set(values)}
-    return _build(n, {m: coefs[v] for m, v in zip(masks.tolist(), values)})
+    return _build(n, masks, numerators[masks], log2_denominator)
 
 
 @lru_cache(maxsize=None)
@@ -450,8 +514,9 @@ def mk(n: int) -> Polynomial:
 
 def prime_flip(p: Polynomial) -> Polynomial:
     """Swap every party's primed and unprimed setting (an involution)."""
-    full = (1 << p.n) - 1
-    return _build(p.n, {mask ^ full: c for mask, c in _by_mask(p).items()})
+    masks, numerators, k = _store(p)
+    # complementing every mask reverses their order
+    return _build(p.n, (masks ^ ((1 << p.n) - 1))[::-1], numerators[::-1], k)
 
 
 def svetlichny(n: int) -> Polynomial:
@@ -480,28 +545,33 @@ def combine(
     """alpha*p + beta*q with exact cancellation of like terms."""
     if p.n != q.n:
         raise InvalidArgumentError(f"cannot combine polynomials with n={p.n} and n={q.n}")
-    a = DyadicCoefficient._coerce(alpha)
-    b = DyadicCoefficient._coerce(beta)
-    out: dict[int, DyadicCoefficient] = {}
-    for poly, w in ((p, a), (q, b)):
-        if w.numerator == 0:
-            continue
-        for mask, c in _by_mask(poly).items():
-            acc = out.get(mask, ZERO) + w * c
-            if acc.numerator == 0:
-                out.pop(mask, None)
-            else:
-                out[mask] = acc
-    return _build(p.n, out)
+    stores = _store(p), _store(q)
+    weights = DyadicCoefficient._coerce(alpha), DyadicCoefficient._coerce(beta)
+    k = max(ks + w.log2_denominator for (_, _, ks), w in zip(stores, weights))
+    # each store's numerators times its weight's numerator and a power of two,
+    # at the common denominator 2**k; int64 unless a factor or the sum could overflow
+    scales = [w.numerator << (k - ks - w.log2_denominator) for (_, _, ks), w in zip(stores, weights)]
+    bound = sum(max(abs(s), 1) * max(_max_abs(nums), 1) for (_, nums, _), s in zip(stores, scales))
+    # the union of both mask sets (np.union1d would import numpy.ma)
+    masks = np.sort(np.concatenate((stores[0][0], stores[1][0])))
+    masks = masks[np.diff(masks, prepend=-1) != 0]
+    out = np.zeros(len(masks), dtype=np.int64 if bound < _INT64_END else object)
+    for (part_masks, nums, _), s in zip(stores, scales):
+        out[np.searchsorted(masks, part_masks)] += nums.astype(out.dtype, copy=False) * s
+    kept = np.flatnonzero(out)
+    return _build(p.n, masks[kept], out[kept], k)
 
 
 def tensor_product(p: Polynomial, q: Polynomial) -> Polynomial:
     """Concatenate party lists: q's parties are relabeled to follow p's."""
-    out: dict[int, DyadicCoefficient] = {}
-    for mp, cp in _by_mask(p).items():
-        for mq, cq in _by_mask(q).items():
-            out[mp | (mq << p.n)] = cp * cq
-    return _build(p.n + q.n, out)
+    (mp, cp, kp), (mq, cq, kq) = _store(p), _store(q)
+    n = p.n + q.n
+    dtype = np.int64 if max(_max_abs(cp), 1) * max(_max_abs(cq), 1) < _INT64_END else object
+    # q's masks fill the high bits, so q-major order keeps the masks ascending
+    mask_dtype = _mask_dtype(n)
+    masks = (mq.astype(mask_dtype)[:, None] << p.n | mp.astype(mask_dtype)).ravel()
+    numerators = (cq.astype(dtype)[:, None] * cp.astype(dtype)).ravel()
+    return _build(n, masks, numerators, kp + kq)
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +581,8 @@ def tensor_product(p: Polynomial, q: Polynomial) -> Polynomial:
 
 def algebraic_limit(p: Polynomial) -> DyadicCoefficient:
     """Unconstrained maximum: the exact sum of absolute coefficient values."""
-    scaled, k = _scaled_numerators(p)
-    return DyadicCoefficient(sum(map(abs, scaled)), k)
+    _, numerators, k = _store(p)
+    return DyadicCoefficient(_abs_sum(numerators), k)
 
 
 def support_size(p: Polynomial) -> int:
@@ -528,7 +598,7 @@ def evaluate(p: Polynomial, c: CorrelationVector | Mapping[Term, float]) -> floa
         )
     values = c.values if isinstance(c, CorrelationVector) else c
     by_mask = {t.prime_mask: v for t, v in values.items() if isinstance(t, Term) and t.n == p.n}
-    coefs = _by_mask(p)
+    coefs = dict(_mask_items(p))
     missing = [m for m in coefs if m not in by_mask]
     if missing:
         labels = ", ".join(_label(p.n, m) for m in missing)
@@ -566,7 +636,7 @@ def to_text(p: Polynomial) -> str:
     return "\n".join(
         f"{'+' if c.numerator > 0 else '-'}{abs(c.numerator)}/2^{c.log2_denominator}"
         f" *{low[mask & low_bits]}{high[mask >> half]}"
-        for mask, c in _by_mask(p).items()
+        for mask, c in _mask_items(p)
     )
 
 
@@ -612,7 +682,7 @@ def from_text(text: str, n: int | None = None) -> Polynomial:
         masks[mask] = DyadicCoefficient(numerator, int(k))
     if seen_n is None:
         raise DataFormatError("empty polynomial text and no explicit party count")
-    return _build(seen_n, masks)
+    return _from_coefficients(seen_n, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +773,7 @@ def to_dict(p: Polynomial) -> dict:
                 "numerator": c.numerator,
                 "log2_denominator": c.log2_denominator,
             }
-            for mask, c in _by_mask(p).items()
+            for mask, c in _mask_items(p)
         ],
     }
 
@@ -730,4 +800,4 @@ def from_dict(data: Mapping) -> Polynomial:
     }
     if len(masks) != len(entries):
         raise DataFormatError("duplicate prime_mask in structured polynomial")
-    return _build(n, {m: c for m, c in masks.items() if c})
+    return _from_coefficients(n, {m: c for m, c in masks.items() if c})

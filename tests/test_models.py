@@ -491,14 +491,17 @@ class TestSharedScans:
 
     def test_reused_scan_is_still_resummed(self, monkeypatch):
         """The last 2|2 split of mk(4) reuses the first one's scan; its own re-sum still runs."""
-        reused = M.bipartitions(4)[-1]
+        splits = M.bipartitions(4)
+        reused = splits[-1]
         calls = count_scans(monkeypatch)
         M.hybrid_bound_all(P.mk(4))
         assert len(calls) == 2
         real = M._hybrid_sum
+        resums = []
 
-        def tampered(tensor, block_a, block_b):
-            return real(tensor, block_a, block_b) + (block_a.parties == reused.block_a_parties)
+        def tampered(coef, products_a, products_b):
+            resums.append(coef.shape)  # one re-sum per split, in bipartitions order
+            return real(coef, products_a, products_b) + (len(resums) == len(splits))
 
         monkeypatch.setattr(M, "_hybrid_sum", tampered)
         with pytest.raises(NumericalIntegrityError, match=re.escape(reused.to_text())):
@@ -671,6 +674,14 @@ class TestBlockStrategy:
             BlockStrategy((0,), (1,))
         with pytest.raises(InvalidArgumentError):
             BlockStrategy((1, 0), (1, 1, 1, 1))
+
+    def test_products_compare_by_value(self):
+        assert BlockStrategy((0,), (True, -1.0)).products == (1, -1)
+        assert BlockStrategy((0,), (np.int64(1), np.int64(-1))).products == (1, -1)
+        for bad in (0, 2.0, float("nan"), [1], "1"):
+            with pytest.raises(InvalidArgumentError) as err:
+                BlockStrategy((0,), (1, bad))
+            assert str(err.value) == f"block product must be +1 or -1, got {bad!r}"
 
     def test_serialization_is_one_based(self):
         s = BlockStrategy((0, 2), (1, 1, -1, -1))

@@ -7,9 +7,11 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from bellpoly import classify as C
 from bellpoly import models as M
 from bellpoly import polynomial as P
 from bellpoly.errors import DataFormatError, IncompleteDataError, InvalidArgumentError
@@ -546,9 +548,11 @@ class TestTermView:
         n, masks = case
         by_terms = Polynomial(n, {Term(n, m): c for m, c in masks.items()})
         expected = [(Term(n, m), masks[m]) for m in sorted(masks)]
+        k = max((c.log2_denominator for c in masks.values()), default=0)
+        numerators = [c.numerator << (k - c.log2_denominator) for _, c in expected]
         for p in (
             by_terms,
-            P._build(n, masks),
+            P._build(n, sorted(masks), numerators, k),
             P.from_dict(P.to_dict(by_terms)),
             P.from_text(P.to_text(by_terms), n),
         ):
@@ -559,12 +563,21 @@ class TestTermView:
     @pytest.mark.parametrize(
         ("make", "error", "message"),
         [
-            (lambda: P._build(2, {4: ONE}), BAD, "prime_mask must lie in [0, 2^2), got 4"),
+            (lambda: P._build(2, [4], [1], 0), BAD, "prime_mask must lie in [0, 2^2), got 4"),
             pytest.param(
-                lambda: P._build(2, {1: P.ZERO}),
+                lambda: P._build(2, [1], [0], 0),
                 BAD,
                 "zero coefficients must not be stored",
                 id="build-zero",
+            ),
+            *(
+                pytest.param(
+                    lambda masks=masks: P._build(2, masks, [1, 1], 0),
+                    BAD,
+                    "prime masks must be strictly ascending",
+                    id=f"build-masks-{masks}",
+                )
+                for masks in ([2, 1], [1, 1])
             ),
             (lambda: Polynomial(2, {"x": ONE}), BAD, "polynomial keys must be Term, got 'x'"),
             (
@@ -611,7 +624,17 @@ class TestTermView:
                 "line 1: not a polynomial term: '+1/3 * A1'",
             ),
             (lambda: Polynomial(0, {}), BAD, "party count must be a positive integer, got 0"),
-            (lambda: P._build(0, {0: ONE}), BAD, "party count must be a positive integer, got 0"),
+            (lambda: P._build(0, [0], [1], 0), BAD, "party count must be a positive integer, got 0"),
+            *(
+                pytest.param(make, BAD, "party count must be a positive integer, got True", id=name)
+                for name, make in (
+                    ("bool-n-from-dict", lambda: P.from_dict({"n": True, "terms": [
+                        {"prime_mask": 0, "numerator": 1, "log2_denominator": 0}
+                    ]})),
+                    ("bool-n-term", lambda: Term(True, 1)),
+                    ("bool-n-polynomial", lambda: Polynomial(True, {})),
+                )
+            ),
             (
                 lambda: P.from_dict({"n": -1, "terms": []}),
                 BAD,
@@ -678,6 +701,154 @@ class TestTermView:
         assert not hasattr(p.terms, "pop")
 
 
+# ---------------------------------------------------------------------------
+# The array store against the {prime mask: coefficient} dict it replaced
+# ---------------------------------------------------------------------------
+
+
+def oracle_combine(p: dict, q: dict, a: DyadicCoefficient, b: DyadicCoefficient) -> dict:
+    out: dict[int, DyadicCoefficient] = {}
+    for poly, w in ((p, a), (q, b)):
+        if w.numerator == 0:
+            continue
+        for mask, c in poly.items():
+            acc = out.get(mask, P.ZERO) + w * c
+            if acc.numerator == 0:
+                out.pop(mask, None)
+            else:
+                out[mask] = acc
+    return out
+
+
+def oracle_tensor_product(p: dict, p_n: int, q: dict) -> dict:
+    return {mp | (mq << p_n): cp * cq for mp, cp in p.items() for mq, cq in q.items()}
+
+
+def oracle_prime_flip(p: dict, n: int) -> dict:
+    return {mask ^ ((1 << n) - 1): c for mask, c in p.items()}
+
+
+def oracle_dict(n: int, p: dict) -> dict:
+    return {
+        "n": n,
+        "terms": [
+            {"prime_mask": m, "numerator": c.numerator, "log2_denominator": c.log2_denominator}
+            for m, c in sorted(p.items())
+        ],
+    }
+
+
+def oracle_text(n: int, p: dict) -> str:
+    return "\n".join(
+        f"{'+' if c.numerator > 0 else '-'}{abs(c.numerator)}/2^{c.log2_denominator} * {Term(n, m).label()}"
+        for m, c in sorted(p.items())
+    )
+
+
+def oracle_tensors(n: int, p: dict) -> tuple[np.ndarray, list, int]:
+    """The float tensor, the scaled integers as a nested list, and K, one term at a time."""
+    k = max((c.log2_denominator for c in p.values()), default=0)
+    floats, scaled = np.zeros((2,) * n), np.zeros((2,) * n, dtype=object)
+    for mask, c in p.items():
+        index = tuple((mask >> j) & 1 for j in range(n))
+        floats[index] = float(c)
+        scaled[index] = c.numerator << (k - c.log2_denominator)
+    return floats, scaled.tolist(), k
+
+
+# numerators at, near and past int64's range, and small ones
+WIDE = st.one_of(
+    st.integers(-99, 99),
+    st.integers(-(2**66), 2**66),
+    st.sampled_from([2**62, 2**63 - 1, 2**63, 2**64 + 1]).flatmap(lambda v: st.sampled_from([v, -v])),
+)
+
+
+@st.composite
+def wide_dicts(draw, n: int) -> dict:
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=1 << n))
+    return {
+        m: DyadicCoefficient(draw(WIDE.filter(bool)), draw(st.integers(0, 70))) for m in masks
+    }
+
+
+@st.composite
+def oracle_cases(draw):
+    n, r_n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    weights = st.builds(DyadicCoefficient, WIDE, st.integers(0, 70))
+    return n, draw(wide_dicts(n)), draw(wide_dicts(n)), r_n, draw(wide_dicts(r_n)), draw(weights), draw(weights)
+
+
+class TestArrayStore:
+    @settings(deadline=None)
+    @given(oracle_cases())
+    def test_matches_the_dict_oracle(self, case):
+        n, p_dict, q_dict, r_n, r_dict, alpha, beta = case
+        p = P.from_dict(oracle_dict(n, p_dict))
+        q = P.from_text(oracle_text(n, q_dict), n)
+        r = Polynomial(r_n, {Term(r_n, m): c for m, c in r_dict.items()})
+        assert P.to_dict(p) == oracle_dict(n, p_dict) and P.to_text(q) == oracle_text(n, q_dict)
+        for got, n_out, expected in (
+            (P.combine(p, q, alpha, beta), n, oracle_combine(p_dict, q_dict, alpha, beta)),
+            (P.combine(p, p, alpha, -alpha), n, {}),
+            (P.prime_flip(p), n, oracle_prime_flip(p_dict, n)),
+            (P.tensor_product(p, r), n + r_n, oracle_tensor_product(p_dict, n, r_dict)),
+            (P.tensor_product(r, q), r_n + n, oracle_tensor_product(r_dict, r_n, q_dict)),
+        ):
+            assert P.to_dict(got) == oracle_dict(n_out, expected)
+            assert got == P.from_dict(oracle_dict(n_out, expected))
+            assert P.algebraic_limit(got) == sum((abs(c) for c in expected.values()), P.ZERO)
+            floats, scaled, k = oracle_tensors(n_out, expected)
+            assert P._coefficient_tensor(got).tolist() == floats.tolist()
+            tensor, tensor_k = P._scaled_tensor(got)
+            assert (tensor.tolist(), tensor_k) == (scaled, k)
+            # int64 where every numerator at the common denominator fits, Python ints past it
+            numerators = P._store(got)[1]
+            wide = any(abs(v) >= 2**63 for v in numerators.tolist())
+            assert numerators.dtype == (object if wide else np.int64)
+
+    def test_masks_past_62_parties_are_python_ints(self):
+        p_dict = {2**39 + 1: DyadicCoefficient(3, 2), 5: DyadicCoefficient(-1)}
+        p = P.from_dict(oracle_dict(40, p_dict))
+        wide, wide_dict = P.tensor_product(p, p), oracle_tensor_product(p_dict, 40, p_dict)
+        flipped = oracle_prime_flip(wide_dict, 80)
+        assert P._store(wide)[0].dtype == object
+        for got, expected in (
+            (wide, wide_dict),
+            (P.prime_flip(wide), flipped),
+            (P.combine(wide, P.prime_flip(wide), 1, HALF), oracle_combine(wide_dict, flipped, 1, HALF)),
+        ):
+            assert P.to_dict(got) == oracle_dict(80, expected)
+        assert wide.terms[Term(80, 5 | 5 << 40)] == 1
+
+
+class TestTwentyParties:
+    @pytest.fixture(autouse=True)
+    def fresh_mk_cache(self):
+        P.mk.cache_clear()
+        yield
+        P.mk.cache_clear()
+
+    @pytest.mark.parametrize(
+        "make, n, support, limit",
+        [
+            (P.mk, 20, 2**20, lambda: C.mk_bound(20, C.ModelKind.algebraic())),
+            (P.svetlichny, 19, 2**19, lambda: C.svetlichny_bounds(19).bounds[C.ModelKind.algebraic()]),
+            (P.svetlichny, 20, 2**20, lambda: C.svetlichny_bounds(20).bounds[C.ModelKind.algebraic()]),
+            (P.svetlichny_minus, 19, 2**19, lambda: C.svetlichny_bounds(19).bounds[C.ModelKind.algebraic()]),
+        ],
+        ids=["mk-20", "svetlichny-19", "svetlichny-20", "svetlichny_minus-19"],
+    )
+    def test_support_limit_and_tensor(self, make, n, support, limit):
+        p = make(n)
+        assert P.support_size(p) == support
+        half_exponent = limit().half_exponent
+        assert half_exponent % 2 == 0
+        assert P.algebraic_limit(p) == 1 << (half_exponent // 2)
+        tensor, k = P._scaled_tensor(p)
+        assert int(np.abs(tensor).sum(dtype=np.int64)) == 1 << (half_exponent // 2 + k)
+
+
 class TestLayering:
     """polynomial alone reads its coefficient store; quantum needs nothing from models.
 
@@ -698,7 +869,7 @@ class TestLayering:
                 imported.update(alias.name for alias in node.names)
         assert not {name for name in imported if name.split(".")[-1] == "models"}
 
-    @pytest.mark.parametrize("name", ["_by_mask", "_scaled_numerators", "_flat_index"])
+    @pytest.mark.parametrize("name", ["_store", "_numerators", "_tensor"])
     def test_store_readers_stay_in_polynomial(self, name):
         users = [
             path.name
