@@ -6,7 +6,8 @@ dyadic rationals kept exact throughout; floating point enters only when a
 polynomial is evaluated against numeric correlation data.
 
 Party indices are 0-based inside the library and 1-based in every text form
-(A1, A2', ...).
+(A1, A2', ...).  In the text form, `_label` alone writes and checks a term's
+party list and `DyadicCoefficient` alone writes and reads its coefficient.
 
 This module alone reads a polynomial's array store: the prime masks in
 ascending order, each coefficient's integer numerator over one shared power
@@ -68,10 +69,9 @@ class Term:
 
     def __post_init__(self) -> None:
         _check_party_count(self.n)
-        if not isinstance(self.prime_mask, int) or not 0 <= self.prime_mask < (1 << self.n):
-            raise InvalidArgumentError(
-                f"prime_mask must lie in [0, 2^{self.n}), got {self.prime_mask!r}"
-            )
+        mask = self.prime_mask
+        if not isinstance(mask, int) or isinstance(mask, bool) or not 0 <= mask < (1 << self.n):
+            raise InvalidArgumentError(f"prime_mask must lie in [0, 2^{self.n}), got {mask!r}")
 
     def primed(self, party: int) -> bool:
         """Whether `party` (0-based) uses its primed setting in this term."""
@@ -84,9 +84,9 @@ class Term:
         return _label(self.n, self.prime_mask)
 
 
-def _label(n: int, mask: int) -> str:
-    """The 1-based text form of prime mask `mask` over n parties, read off its bits."""
-    return " ".join([f"A{j}'" if mask >> (j - 1) & 1 else f"A{j}" for j in range(1, n + 1)])
+def _label(n: int, mask: int, start: int = 0) -> str:
+    """The 1-based text form of parties start..n-1 (0-based) of prime mask `mask`, read off its bits."""
+    return " ".join([f"A{j + 1}'" if mask >> j & 1 else f"A{j + 1}" for j in range(start, n)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -613,64 +613,57 @@ def evaluate(p: Polynomial, c: CorrelationVector | Mapping[Term, float]) -> floa
 # Canonical text and structured forms
 # ---------------------------------------------------------------------------
 
-_TERM_LINE_RE = re.compile(r"^([+-])(\d+)/2\^(\d+)\s*\*\s*(.+)$")
-_PARTY_RE = re.compile(r"^A(\d+)(')?$")
-
-
-def _labels(parties: range) -> list[str]:
-    """Every prime mask's label over `parties` (1-based, the first one bit 0), each token after a space."""
-    table = [""]
-    for j in parties:
-        table = [t + f" A{j}" for t in table] + [t + f" A{j}'" for t in table]
-    return table
-
-
 def to_text(p: Polynomial) -> str:
     """One term per line, masks ascending: `+1/2^1 * A1 A2'` etc.
 
-    Each label joins those of its mask's low and high halves, read from two tables.
+    `_label` writes each party list and `DyadicCoefficient.__str__` each
+    coefficient, with a `+` before a positive one.  A label joins those of
+    its mask's low and high halves, and each half's label and each distinct
+    numerator is formatted once, so the cost is bounded by the number of
+    terms as well as by 2**(n/2).
     """
+    masks, numerators, k = _store(p)
+    masks, numerators = masks.tolist(), numerators.tolist()
     half = (p.n + 1) // 2
-    low, high = _labels(range(1, half + 1)), _labels(range(half + 1, p.n + 1))
     low_bits = (1 << half) - 1
+    lows, highs = {m & low_bits for m in masks}, {m >> half for m in masks}
+    low = {m: _label(half, m) for m in lows}
+    # n = 1 has no high half, so no space to join one with
+    high = {h: f" {_label(p.n, h << half, half)}" if half < p.n else "" for h in highs}
+    coefficients = {v: f"{'+' if v > 0 else ''}{DyadicCoefficient(v, k)}" for v in set(numerators)}
     return "\n".join(
-        f"{'+' if c.numerator > 0 else '-'}{abs(c.numerator)}/2^{c.log2_denominator}"
-        f" *{low[mask & low_bits]}{high[mask >> half]}"
-        for mask, c in _mask_items(p)
+        f"{coefficients[v]} * {low[m & low_bits]}{high[m >> half]}" for m, v in zip(masks, numerators)
     )
 
 
 def from_text(text: str, n: int | None = None) -> Polynomial:
-    """Parse the canonical text form; blank lines and `#` comments are skipped."""
+    """Parse the canonical text form; blank lines and `#` comments are skipped.
+
+    A line is `<coefficient> * <parties>`.  `DyadicCoefficient.parse` reads
+    the coefficient, which must carry its sign.  The prime mask is read off
+    which party tokens end in `'`, and the party list is accepted only when it
+    is that mask's `_label`: A1 to An in order, each once.
+    """
     masks: dict[int, DyadicCoefficient] = {}
     seen_n = n
     for lineno, line in _numbered_lines(text):
-        m = _TERM_LINE_RE.match(line)
-        if m is None:
+        coefficient, _, parties = line.partition("*")
+        tokens = parties.split()
+        try:
+            coef = DyadicCoefficient.parse(coefficient)
+        except DataFormatError:
+            coef = None
+        if coef is None or not tokens or not coefficient.startswith(("+", "-")):
             raise DataFormatError(f"not a polynomial term: {line!r}", line=lineno)
-        sign, num, k, parties = m.groups()
-        numerator = int(num) if sign == "+" else -int(num)
-        if numerator == 0:
+        if not coef:
             raise DataFormatError("zero coefficients are not allowed", line=lineno)
-        mask = 0
-        expected = 1
-        for token in parties.split():
-            pm = _PARTY_RE.match(token)
-            if pm is None:
-                raise DataFormatError(f"bad party token {token!r}", line=lineno)
-            idx = int(pm.group(1))
-            if idx != expected:
-                raise DataFormatError(
-                    f"parties must appear once each in ascending order; got A{idx} "
-                    f"where A{expected} was expected",
-                    line=lineno,
-                )
-            if pm.group(2):
-                mask |= 1 << (idx - 1)
-            expected += 1
-        line_n = expected - 1
-        if line_n == 0:
-            raise DataFormatError("term lists no parties", line=lineno)
+        line_n = len(tokens)
+        mask = sum([1 << j for j, token in enumerate(tokens) if token[-1] == "'"])
+        label = _label(line_n, mask)
+        if " ".join(tokens) != label:
+            raise DataFormatError(
+                f"parties must read {label!r}, got {parties.strip()!r}", line=lineno
+            )
         if seen_n is None:
             seen_n = line_n
         elif line_n != seen_n:
@@ -678,8 +671,8 @@ def from_text(text: str, n: int | None = None) -> Polynomial:
                 f"term has {line_n} parties, earlier terms had {seen_n}", line=lineno
             )
         if mask in masks:
-            raise DataFormatError(f"duplicate term {_label(seen_n, mask)}", line=lineno)
-        masks[mask] = DyadicCoefficient(numerator, int(k))
+            raise DataFormatError(f"duplicate term {label}", line=lineno)
+        masks[mask] = coef
     if seen_n is None:
         raise DataFormatError("empty polynomial text and no explicit party count")
     return _from_coefficients(seen_n, masks)

@@ -197,9 +197,8 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        polynomial._check_party_count(self.n)
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InvalidArgumentError(f"qubit count must be a positive integer, got {self.n!r}")
         if amps.shape != (1 << self.n,):
             raise InvalidArgumentError(
                 f"state for n={self.n} needs {1 << self.n} amplitudes, got {amps.shape}"
@@ -219,6 +218,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
+        polynomial._check_party_count(self.n)
         rho = np.array(self.entries, dtype=complex)
         dim = 1 << self.n
         if rho.shape != (dim, dim):
@@ -253,6 +253,7 @@ class BellOperator:
     source: tuple[Polynomial, MeasurementFrame]
 
     def __post_init__(self) -> None:
+        polynomial._check_party_count(self.n)
         mat = np.array(self.entries, dtype=complex)
         dim = 1 << self.n
         if mat.shape != (dim, dim):
@@ -317,16 +318,14 @@ def bell_operator(
 
 def ghz(n: int) -> PureState:
     """(|0...0> + |1...1>) / sqrt(2) on n qubits."""
-    if not isinstance(n, int) or n < 1:
-        raise InvalidArgumentError(f"ghz requires a qubit count >= 1, got {n!r}")
+    polynomial._check_party_count(n)
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
     return PureState(n, amps)
 
 
 def basis_state(n: int, index: int) -> PureState:
-    if not isinstance(n, int) or n < 1:
-        raise InvalidArgumentError(f"basis_state requires a qubit count >= 1, got {n!r}")
+    polynomial._check_party_count(n)
     if not 0 <= index < (1 << n):
         raise InvalidArgumentError(f"basis index {index} out of range for n={n}")
     amps = np.zeros(1 << n, dtype=complex)
@@ -497,8 +496,7 @@ def effective_bloch(
     _check_cap(p, cap)
     if p.n != f.n:
         raise InvalidArgumentError(f"polynomial has {p.n} parties, frame has {f.n}")
-    if p.n != state.n:
-        raise InvalidArgumentError(f"polynomial has {p.n} parties, state has {state.n}")
+    _check_qubits(state.n, p.n)
     if not 0 <= party < p.n:
         raise InvalidArgumentError(f"party index {party} out of range for n={p.n}")
     t = _correlations(_density(state))
@@ -673,8 +671,7 @@ def seesaw(
     with the per-update value history of the winning restart.
     """
     _check_cap(p, cap)
-    if p.n != state.n:
-        raise InvalidArgumentError(f"polynomial has {p.n} parties, state has {state.n}")
+    _check_qubits(state.n, p.n)
     rho, w = _density(state), _coefficient_tensor(p)
 
     def attempt(rng: np.random.Generator) -> SeesawResult:

@@ -98,6 +98,7 @@ SINGLE_FAULT = [
     [*QMAX, "mk", "3", "--state", "ghz:0"],
     [*QMAX, "mk", "3", "--state", "basis:3"],
     [*QMAX, "mk", "3", "--state", "basis:3:8"],
+    [*QMAX, "mk", "3", "--state", "basis:3:99"],
     [*QMAX, "mk", "3", "--state", "file:"],
     [*QMAX, "mk", "3", "--state", "file:{tmp}/missing.txt"],
     [*QMAX, "mk", "1", "--state", "file:{tmp}/unnormed.txt"],
@@ -132,10 +133,12 @@ SINGLE_FAULT = [
     ["classify", "--poly", "mk", "3", "--correlations", "{tmp}/corr_partial.txt"],
     ["classify", "--poly", "mk", "3", "--correlations", "{tmp}/corr_range.txt"],
     ["classify", "--poly", "mk", "x", "--value", "1.0"],
+    ["classify", "--poly", "nonsense", "3", "--value", "1.0"],
     ["classify", "--poly", "mk", "3", "--value", "9.0"],
     ["classify", "--poly", "mk", "3", "--value", "nan"],
     # usage
     ["poly", "nonsense", "3"],
+    ["--restarts", "0", "qmax", "mk", "3"],
     ["--seed", "-1", "qmax", "mk", "2"],
     ["bounds", "mk", "3", "--models", "local", "--partition", "A=1|B=2,3"],
 ]

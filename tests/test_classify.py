@@ -33,6 +33,7 @@ class TestRoot2Power:
         assert Root2Power(2).render() == "2"
         assert Root2Power(3).render() == "2*sqrt(2)"
         assert Root2Power(4).render() == "4"
+        assert str(Root2Power(3)) == "2*sqrt(2)"
 
     def test_product(self):
         assert Root2Power(1) * Root2Power(2) == Root2Power(3)
@@ -266,6 +267,35 @@ class TestBoundTable:
         data = C.svetlichny_bounds(3).as_dict()
         assert data["family"] == "svetlichny"
         assert any(entry["exact"] == "sqrt(2)" for entry in data["bounds"])
+
+
+@pytest.mark.parametrize(
+    ("make", "message"),
+    [
+        (
+            lambda: C.BoundTable(family="chsh", n=3, bounds={}),
+            "unknown polynomial family 'chsh'",
+        ),
+        (
+            lambda: C.BoundTable(
+                family="mk",
+                n=3,
+                bounds={
+                    ModelKind.hybrid_separable(1): Root2Power(3),
+                    ModelKind.algebraic(): Root2Power(2),
+                },
+            ),
+            "hybrid bound exceeds the algebraic limit",
+        ),
+        (lambda: C.mk_bound(1, ModelKind.local()), "mk_bound needs n >= 2, got 1"),
+        (lambda: C.nonseparability_verdict(1.0, 1), "verdicts need n >= 2, got 1"),
+        (lambda: C.entanglement_depth_verdict(1.0, True), "verdicts need n >= 2, got True"),
+    ],
+)
+def test_bad_input_errors(make, message):
+    with pytest.raises(InvalidArgumentError) as err:
+        make()
+    assert type(err.value) is InvalidArgumentError and str(err.value) == message
 
 
 class TestTable1:

@@ -15,7 +15,7 @@ from bellpoly import cli
 from bellpoly import polynomial as P
 from bellpoly import quantum as Q
 from bellpoly.cli import parse_correlation_text
-from bellpoly.errors import DataFormatError
+from bellpoly.errors import DataFormatError, InvalidArgumentError
 from bellpoly.polynomial import Term
 
 from conftest import (
@@ -316,9 +316,29 @@ class TestGlobalFlags:
         res = run_cli("--verdict-tol", "0.5", "poly", "mk", "2")
         assert res.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--restarts", "0", "qmax", "mk", "2"], "restarts must be positive"),
+            (["--restarts", "0", "table1"], "restarts must be positive"),
+            (["classify", "--poly", "mk", "x", "--value", "1"], "bad party count 'x'"),
+            (["classify", "--poly", "nonsense", "3", "--value", "1"], "unknown polynomial kind 'nonsense'"),
+        ],
+        ids=["zero-restarts-qmax", "zero-restarts-table1", "classify-party-count",
+             "classify-kind"],
+    )
+    def test_argument_errors(self, argv, message):
+        res = run_cli(*argv)
+        assert (res.code, res.out, res.err) == (2, "", f"error: {message}\n")
+
     def test_negative_seed_is_usage_error(self):
         res = run_cli("--seed", "-1", "--restarts", "1", "qmax", "mk", "2")
         assert (res.code, res.err) == (2, "error: seed must be non-negative, got -1\n")
+
+    def test_unknown_output_format_rejected(self):
+        with pytest.raises(InvalidArgumentError) as err:
+            cli.RunConfig(output_format="xml")
+        assert str(err.value) == "unknown output format 'xml'"
 
 
 class TestSettingsReachEveryCommand:
@@ -444,6 +464,10 @@ class TestStateAndFrameFaults:
             (["--spectral-cap", "2", *QMAX, "ghz:3"], 3, CAP),
             (["--spectral-cap", "2", *CLASSIFY, "ghz:3", *FRAME3], 3, CAP),
             ([*QMAX, "ghz:x"], 4, "bad state spec 'ghz:x' (want ghz:n)"),
+            ([*QMAX, "ghz:0"], 4, "bad state spec 'ghz:0' (want ghz:n)"),
+            ([*QMAX, "basis:3:99"], 4, "bad state spec 'basis:3:99' (want basis:n:index)"),
+            ([*QMAX, "file:"], 4, "bad state spec 'file:' (want file:<path>)"),
+            ([*QMAX, "file:{tmp}/three_fields.txt"], 4, "line 2: expected `re im`, got '0 0 0'"),
             (
                 [*CLASSIFY, "bogus:3", *FRAME3], 4,
                 "unknown state spec 'bogus:3' (want ghz:, basis:, or file:)",
@@ -480,7 +504,8 @@ class TestStateAndFrameFaults:
             ),
         ],
         ids=[
-            "cap-qmax", "cap-classify", "spec-qmax", "spec-classify", "state-file-qmax",
+            "cap-qmax", "cap-classify", "spec-qmax", "spec-qmax-ghz-0", "spec-qmax-basis-index",
+            "spec-qmax-no-path", "state-file-line", "spec-classify", "state-file-qmax",
             "state-file-classify", "state-count-qmax-ghz", "state-count-qmax-file",
             "state-count-classify-basis", "state-count-classify-file", "frame-count", "frame-file",
             "frame-line", "frame-nan", "state-nan-qmax", "state-nan-classify",
@@ -494,6 +519,7 @@ class TestStateAndFrameFaults:
             "frame_nan.txt": "n=3\nnan 0 0\n" + "1 0 0\n" * 5,
             "ghz2.txt": "0.7071067811865476 0\n0 0\n0 0\n0.7071067811865476 0\n",
             "nan3.txt": "nan 0\n" + "0 0\n" * 7,
+            "three_fields.txt": "1 0\n0 0 0\n",
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)
@@ -554,6 +580,8 @@ class TestCorrelationParsing:
             ("n=x\n", "line 1: bad header 'n=x'", 1),
             ("\nn=0\n", "line 2: party count must be >= 1", 2),
             ("n=1\n\n# c\n0 1.0\n0 0.5\n", "line 5: duplicate settings '0'", 5),
+            ("n=1\n0\n", "line 2: expected `<settings> <value>`, got '0'", 2),
+            ("n=1\n0 x\n", "line 2: bad value 'x'", 2),
         ],
     )
     def test_error_messages_and_lines(self, text, message, line):

@@ -164,6 +164,13 @@ class TestLocalBound:
     def test_empty_polynomial(self):
         assert M.local_bound(Polynomial(2, {})).value == 0.0
 
+    def test_witness_is_resummed(self, monkeypatch):
+        real = M._local_sum
+        monkeypatch.setattr(M, "_local_sum", lambda tensor, settings: real(tensor, settings) + 1)
+        with pytest.raises(NumericalIntegrityError) as err:
+            M.local_bound(P.mk(3))
+        assert str(err.value) == "local bound: the enumeration found 2 but its witness re-sums to 3"
+
     @pytest.mark.parametrize("poly", [P.mk(1), P.mk(5), P.svetlichny(8), Polynomial(3, {})])
     def test_coefficient_tensor_axes_are_party_settings(self, poly):
         w = P._coefficient_tensor(poly)
@@ -339,7 +346,8 @@ class TestBipartitions:
         assert Bipartition.from_text("A=2,4|B=1,3") == Bipartition.from_text("A=1,3|B=2,4")
 
     @pytest.mark.parametrize(
-        "text", ["A=1|B=1,2", "A=|B=1,2", "A=1,4|B=2", "nonsense", "A=1|B=3", "A=1,1|B=2"]
+        "text",
+        ["A=1|B=1,2", "A=|B=1,2", "A=1,4|B=2", "nonsense", "A=1|B=3", "A=1,1|B=2", "X=1|B=2"],
     )
     def test_parse_errors(self, text):
         with pytest.raises(DataFormatError):
@@ -686,6 +694,39 @@ class TestBlockStrategy:
     def test_serialization_is_one_based(self):
         s = BlockStrategy((0, 2), (1, 1, -1, -1))
         assert s.as_dict()["parties"] == [1, 3]
+
+
+SPLIT = Bipartition(3, 0b001)  # A={1}, B={2,3}
+
+
+class TestBadInput:
+    """Every check that public model input reaches: error class and message."""
+
+    @pytest.mark.parametrize(
+        ("make", "message"),
+        [
+            (lambda: LocalStrategy(()), "a local strategy needs at least one party"),
+            (lambda: LocalStrategy(((1, 1, 1),)), "each party needs exactly two outcomes (a, a')"),
+            (lambda: Bipartition(1, 1), "bipartitions need n >= 2 parties, got 1"),
+            (lambda: BlockStrategy((), ()), "a block strategy needs at least one party"),
+            (
+                lambda: M.evaluate_hybrid(
+                    P.mk(3), SPLIT, BlockStrategy((1,), (1, 1)), BlockStrategy((0, 2), (1,) * 4)
+                ),
+                "block A strategy does not match the bipartition",
+            ),
+            (
+                lambda: M.evaluate_hybrid(
+                    P.mk(3), SPLIT, BlockStrategy((0,), (1, 1)), BlockStrategy((1,), (1, 1))
+                ),
+                "block B strategy does not match the bipartition",
+            ),
+        ],
+    )
+    def test_bad_input_errors(self, make, message):
+        with pytest.raises(InvalidArgumentError) as err:
+            make()
+        assert type(err.value) is InvalidArgumentError and str(err.value) == message
 
 
 class TestSerialization:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -414,6 +415,25 @@ class TestTextForm:
         for p in (P.mk(4), P.svetlichny(5), P.svetlichny_minus(3)):
             assert P.from_text(P.to_text(p)) == p
 
+    def test_sparse_many_party_text(self):
+        """The text of 4 terms over 80 parties formats 4 labels, not 2 * 2^40 half labels."""
+        p = P.from_dict({"n": 40, "terms": [
+            {"prime_mask": 5, "numerator": -1, "log2_denominator": 0},
+            {"prime_mask": 2**39 + 1, "numerator": 3, "log2_denominator": 2},
+        ]})
+        q = P.tensor_product(p, p)
+        start = time.perf_counter()
+        text = P.to_text(q)
+        elapsed = time.perf_counter() - start
+        lines = text.splitlines()
+        assert len(lines) == 4 and elapsed < 0.1
+        primed = (0, 2, 40, 42)
+        assert lines[0] == "+1/2^0 * " + " ".join(
+            f"A{j + 1}'" if j in primed else f"A{j + 1}" for j in range(80)
+        )
+        assert [line.split(" * ")[0] for line in lines] == ["+1/2^0", "-3/2^2", "-3/2^2", "+9/2^4"]
+        assert P.from_text(text) == q
+
     def test_comments_and_blanks_skipped(self):
         text = "# header\n\n+1/2^0 * A1\n"
         assert P.from_text(text) == P.mk(1)
@@ -535,6 +555,12 @@ class TestTermView:
         assert p == P.svetlichny(5) and p.terms == P.svetlichny(5).terms
         assert terms_made == []
 
+    def test_keys_and_repr_read_the_terms(self):
+        p = P.mk(1)
+        assert list(p.terms.keys()) == [Term(1, 0)]
+        assert repr(p.terms) == f"_TermView({{{Term(1, 0)!r}: {DyadicCoefficient(1)!r}}})"
+        assert (HALF == "1/2^1", HALF != "1/2^1") == (False, True)
+
     def test_iterating_twice_makes_each_term_once(self, terms_made):
         p = P.svetlichny(5)
         first = list(p.terms)
@@ -625,6 +651,51 @@ class TestTermView:
             ),
             (lambda: Polynomial(0, {}), BAD, "party count must be a positive integer, got 0"),
             (lambda: P._build(0, [0], [1], 0), BAD, "party count must be a positive integer, got 0"),
+            pytest.param(
+                lambda: Term(2, True), BAD, "prime_mask must lie in [0, 2^2), got True", id="bool-mask-term"
+            ),
+            (lambda: Term(2, 1).primed(2), BAD, "party index 2 out of range for n=2"),
+            (lambda: DyadicCoefficient(1.5), BAD, "dyadic parts must be integers"),
+            (lambda: DyadicCoefficient(1, 0.0), BAD, "dyadic parts must be integers"),
+            (
+                lambda: DyadicCoefficient.parse("x"),
+                DataFormatError,
+                "cannot parse dyadic value 'x' (expected p/2^k)",
+            ),
+            *(
+                pytest.param(
+                    lambda x=x: DyadicCoefficient.from_float(x),
+                    BAD,
+                    f"cannot convert {x!r} to a dyadic rational",
+                    id=f"from-float-{x!r}",
+                )
+                for x in (float("inf"), float("nan"))
+            ),
+            (lambda: HALF + "x", BAD, "cannot interpret 'x' as a dyadic rational"),
+            (
+                lambda: P.CorrelationVector(2, {Term(3, 0): 0.5}),
+                BAD,
+                "term A1 A2 A3 has n=3, vector has n=2",
+            ),
+            *(
+                pytest.param(
+                    lambda text=text: P.from_text(text),
+                    DataFormatError,
+                    f"line 1: {message}",
+                    id=f"from-text-{text!r}",
+                )
+                for text, message in (
+                    ("+1/2^0 * A2 A1", "parties must read 'A1 A2', got 'A2 A1'"),
+                    ("+1/2^0 * A01", "parties must read 'A1', got 'A01'"),
+                    ("+1/2^0 * A1 A1", "parties must read 'A1 A2', got 'A1 A1'"),
+                    ("+1/2^0 * A1 A2''", 'parties must read "A1 A2\'", got "A1 A2\'\'"'),
+                    ("+1/2^0 * A1 B2", "parties must read 'A1 A2', got 'A1 B2'"),
+                    ("1/2^0 * A1", "not a polynomial term: '1/2^0 * A1'"),
+                    ("+1/2^0 *", "not a polynomial term: '+1/2^0 *'"),
+                    ("+1/2^0 A1", "not a polynomial term: '+1/2^0 A1'"),
+                    ("+1/2^-1 * A1", "not a polynomial term: '+1/2^-1 * A1'"),
+                )
+            ),
             *(
                 pytest.param(make, BAD, "party count must be a positive integer, got True", id=name)
                 for name, make in (
@@ -666,6 +737,27 @@ class TestTermView:
                     {"log2_denominator": None},
                 )
                 for name, value in entry.items()
+            ),
+            *(
+                pytest.param(
+                    lambda data=data: P.from_dict(data),
+                    DataFormatError,
+                    f"malformed structured polynomial: {detail}",
+                    id=f"from-dict-{detail}",
+                )
+                for data, detail in (
+                    ({"terms": []}, "'n'"),
+                    ({"n": 1, "terms": [{"prime_mask": 0}]}, "'numerator'"),
+                    ({"n": 1, "terms": 5}, "'int' object is not iterable"),
+                )
+            ),
+            (
+                lambda: P.from_dict({"n": 1, "terms": [
+                    {"prime_mask": 0, "numerator": 1, "log2_denominator": 0},
+                    {"prime_mask": 0, "numerator": 2, "log2_denominator": 1},
+                ]}),
+                DataFormatError,
+                "duplicate prime_mask in structured polynomial",
             ),
         ],
     )

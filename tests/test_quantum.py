@@ -208,6 +208,102 @@ class TestStates:
             DensityMatrix(1, np.array([[0.5, math.nan], [math.nan, 0.5]]))
 
 
+Z = UnitVector(0.0, 0.0, 1.0)
+BAD = InvalidArgumentError
+PARTY_COUNT = "party count must be a positive integer, got {!r}"
+
+
+class TestBadInput:
+    """Every check that public quantum input reaches: error class and message."""
+
+    @pytest.mark.parametrize(
+        ("make", "error", "message"),
+        [
+            *(
+                pytest.param(make, BAD, PARTY_COUNT.format(n), id=name)
+                for name, make, n in (
+                    ("density-negative", lambda: DensityMatrix(-1, [[1]]), -1),
+                    ("density-float", lambda: DensityMatrix(2.0, np.eye(4) / 4), 2.0),
+                    ("density-zero", lambda: DensityMatrix(0, [[1]]), 0),
+                    ("pure-bool", lambda: PureState(True, [1, 0]), True),
+                    ("pure-zero", lambda: PureState(0, [1]), 0),
+                    ("ghz-bool", lambda: Q.ghz(True), True),
+                    ("ghz-zero", lambda: Q.ghz(0), 0),
+                    ("basis-bool", lambda: Q.basis_state(True, 0), True),
+                    (
+                        "operator-bool",
+                        lambda: Q.BellOperator(True, np.eye(2), (P.mk(1), MeasurementFrame(((Z, Z),)))),
+                        True,
+                    ),
+                )
+            ),
+            (lambda: UnitVector.normalized(0.0, 0.0, 0.0), BAD, "cannot normalize a (near-)zero vector"),
+            (lambda: MeasurementFrame(()), BAD, "a frame needs at least one party"),
+            (lambda: MeasurementFrame(((Z,),)), BAD, "each party needs a (plain, primed) vector pair"),
+            (lambda: PureState(2, [1, 0]), BAD, "state for n=2 needs 4 amplitudes, got (2,)"),
+            (
+                lambda: DensityMatrix(2, np.eye(2) / 2),
+                BAD,
+                "density matrix for n=2 must be 4x4, got (2, 2)",
+            ),
+            (
+                lambda: Q.BellOperator(1, np.eye(4), (P.mk(1), MeasurementFrame(((Z, Z),)))),
+                BAD,
+                "operator must be 2x2, got (4, 4)",
+            ),
+            (lambda: Q.basis_state(2, 4), BAD, "basis index 4 out of range for n=2"),
+            (
+                lambda: Q.effective_bloch(P.mk(3), chsh_frame(), Q.ghz(3), 0, False),
+                BAD,
+                "polynomial has 3 parties, frame has 2",
+            ),
+            (
+                lambda: Q.effective_bloch(P.mk(2), chsh_frame(), Q.ghz(3), 0, False),
+                BAD,
+                "state has 3 qubits, polynomial has 2 parties",
+            ),
+            (
+                lambda: Q.effective_bloch(P.mk(2), chsh_frame(), Q.ghz(2), 2, False),
+                BAD,
+                "party index 2 out of range for n=2",
+            ),
+            (
+                lambda: Q.seesaw(P.mk(2), Q.ghz(3), restarts=1, seed=0),
+                BAD,
+                "state has 3 qubits, polynomial has 2 parties",
+            ),
+            *(
+                pytest.param(
+                    lambda block=block: Q.block_product_max(P.mk(3), block, restarts=1, seed=0),
+                    BAD,
+                    f"invalid block parties {block!r} for n=3",
+                    id=f"block-{block!r}",
+                )
+                for block in ((0, 3), (-1,), (0, 0), ())
+            ),
+        ],
+    )
+    def test_bad_input_errors(self, make, error, message):
+        with pytest.raises(error) as err:
+            make()
+        assert type(err.value) is error and str(err.value) == message
+
+    def test_eigensolver_failure_is_an_integrity_error(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("did not converge")
+
+        op = Q.bell_operator(P.mk(2), chsh_frame())
+        monkeypatch.setattr(Q, "_top_eigenpair", fail)
+        with pytest.raises(NumericalIntegrityError) as err:
+            Q.max_eigenvalue(op)
+        assert str(err.value) == "eigensolver failed: did not converge"
+
+    def test_imaginary_expectation_is_an_integrity_error(self):
+        rho = np.array([[0.5, 0.0], [1e-6, 0.5]], dtype=complex)
+        with pytest.raises(NumericalIntegrityError, match=r"expectation value has imaginary residue"):
+            Q._trace_product(rho, 1j * np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 class TestExpectation:
     def test_chsh_on_ghz2(self):
         op = Q.bell_operator(P.mk(2), chsh_frame())
@@ -788,6 +884,7 @@ class TestTextInterfaces:
             ("n=x\n", "line 1: bad frame header 'n=x'", 1),
             ("\nn=0\n", "line 2: frame party count must be >= 1", 2),
             ("n=1\n0 0 1\n# c\n0 0\n", "line 4: expected three reals, got '0 0'", 4),
+            ("n=1\n0 0 x\n0 0 1\n", "line 2: bad vector component in '0 0 x'", 2),
         ],
     )
     def test_frame_error_messages(self, text, message, line):
