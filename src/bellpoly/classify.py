@@ -222,8 +222,7 @@ def mk_bound(n: int, model: ModelKind) -> Root2Power:
     NotTabulatedError.  The bound at entanglement depth m, 2**((m-1)/2), holds
     only for m <= 2 and m >= n - 2; other m raise NotTabulatedError too.
     """
-    if not isinstance(n, int) or n < 2:
-        raise InvalidArgumentError(f"mk_bound needs n >= 2, got {n!r}")
+    polynomial._check_party_count(n, 2)
     if model.kind == "local":
         return Root2Power(0)
     if model.kind == "quantum-depth":
@@ -249,8 +248,7 @@ def mk_bound(n: int, model: ModelKind) -> Root2Power:
 
 def svetlichny_bounds(n: int) -> BoundTable:
     """The full bound table of the n-party Svetlichny polynomial; its algebraic limit is MK's."""
-    if not isinstance(n, int) or n < 3:
-        raise InvalidArgumentError(f"svetlichny_bounds needs n >= 3, got {n!r}")
+    polynomial._check_party_count(n, 3)
     hybrid = _svetlichny_hybrid(n)
     table: dict[ModelKind, Root2Power] = {ModelKind.local(): Root2Power(0)}
     for k in range(1, n // 2 + 1):
@@ -267,8 +265,7 @@ def svetlichny_bounds(n: int) -> BoundTable:
 
 def _check_value(value: float, n: int, what: str) -> None:
     """Reject a party count below 2, then a value no n-party correlation data can produce."""
-    if not isinstance(n, int) or n < 2:
-        raise InvalidArgumentError(f"verdicts need n >= 2, got {n!r}")
+    polynomial._check_party_count(n, 2)
     limit = float(_mk_algebraic(n))
     if not math.isfinite(value) or value < 0:
         raise InvalidArgumentError(f"{what} must be a finite non-negative real, got {value!r}")
@@ -335,20 +332,21 @@ _TABLE1_HEAD = {
     "algebraic": "algebraic",
 }
 
+_TABLE1_MODELS = {
+    "local": ModelKind.local(),
+    "quantum_depth_2": ModelKind.quantum_depth(2),
+    "hybrid_split": ModelKind.hybrid_separable(1),
+    "quantum_depth_3": ModelKind.quantum_depth(3),
+    "algebraic": ModelKind.algebraic(),
+}
+_S3_BOUNDS = svetlichny_bounds(3).bounds
 _TABLE1_STORED: dict[str, dict[str, Root2Power]] = {
-    "M3": {
-        "local": Root2Power(0),
-        "quantum_depth_2": Root2Power(1),
-        "hybrid_split": Root2Power(2),
-        "quantum_depth_3": Root2Power(2),
-        "algebraic": Root2Power(2),
-    },
+    "M3": {column: mk_bound(3, model) for column, model in _TABLE1_MODELS.items()},
     "S3": {
-        "local": Root2Power(0),
-        "quantum_depth_2": Root2Power(0),
-        "hybrid_split": Root2Power(0),
-        "quantum_depth_3": Root2Power(1),
-        "algebraic": Root2Power(2),
+        **{c: _S3_BOUNDS[m] for c, m in _TABLE1_MODELS.items() if c != "quantum_depth_2"},
+        # svetlichny_bounds stores no depth below n.  A depth-2 state of three
+        # parties is a product across some 2|1 split, so it is a hybrid model.
+        "quantum_depth_2": _svetlichny_hybrid(3),
     },
 }
 

@@ -43,7 +43,13 @@ from .errors import (
     NumericalIntegrityError,
     ResourceLimitError,
 )
-from .polynomial import DyadicCoefficient, Polynomial, _scaled_tensor
+from .polynomial import (
+    DyadicCoefficient,
+    Polynomial,
+    _check_party_count,
+    _check_same_count,
+    _scaled_tensor,
+)
 
 __all__ = [
     "LocalStrategy",
@@ -117,8 +123,7 @@ class Bipartition:
     block_a_mask: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
-            raise InvalidArgumentError(f"bipartitions need n >= 2 parties, got {self.n!r}")
+        _check_party_count(self.n, 2)
         full = (1 << self.n) - 1
         mask = self.block_a_mask
         if not isinstance(mask, int) or not 0 < mask < full:
@@ -263,8 +268,7 @@ def _extract_bits(mask: int, parties: tuple[int, ...]) -> int:
 
 def evaluate_local(p: Polynomial, s: LocalStrategy) -> float:
     """Value of p under one deterministic script, rounded once from the exact sum."""
-    if s.n != p.n:
-        raise InvalidArgumentError(f"strategy has {s.n} parties, polynomial has {p.n}")
+    _check_same_count("strategy", s.n, "polynomial", p.n)
     tensor, k = _scaled_tensor(p)
     return float(DyadicCoefficient(_local_sum(tensor, s.settings), k))
 
@@ -315,8 +319,7 @@ def local_bound(p: Polynomial, *, cap: int = DEFAULT_LOCAL_CAP) -> BoundResult:
 
 def bipartitions(n: int) -> tuple[Bipartition, ...]:
     """All canonical bipartitions of n parties; there are 2**(n-1) - 1 of them."""
-    if not isinstance(n, int) or n < 2:
-        raise InvalidArgumentError(f"bipartitions need n >= 2 parties, got {n!r}")
+    _check_party_count(n, 2)
     # every split has exactly one block without party n; the constructor canonicalises it
     found = [Bipartition(n, mask) for mask in range(1, 1 << (n - 1))]
     found.sort(key=lambda bp: (bp.block_a_mask.bit_count(), bp.block_a_mask))
@@ -366,13 +369,6 @@ def _halved_chunks(coef: np.ndarray):
         yield row[:, None] + suffix
 
 
-def _check_partition(p: Polynomial, partition: Bipartition) -> None:
-    if p.n != partition.n:
-        raise InvalidArgumentError(
-            f"bipartition is over {partition.n} parties, polynomial over {p.n}"
-        )
-
-
 def hybrid_bound(
     p: Polynomial,
     partition: Bipartition,
@@ -390,7 +386,7 @@ def hybrid_bound(
     lexicographic order (+1 before -1, tuple 0 first), which always has +1
     there; the witness is the one the full scan would return.
     """
-    _check_partition(p, partition)
+    _check_same_count("bipartition", partition.n, "polynomial", p.n)
     size_a = len(partition.block_a_parties)
     if size_a > max_block_size:
         raise ResourceLimitError(
@@ -460,7 +456,7 @@ def brute_hybrid_bound(
     max_settings: int = DEFAULT_BRUTE_SETTINGS_CAP,
 ) -> BoundResult:
     """Independent oracle: enumerate both blocks' strategy tables in full."""
-    _check_partition(p, partition)
+    _check_same_count("bipartition", partition.n, "polynomial", p.n)
     a = partition.block_a_parties
     b = partition.block_b_parties
     tuples_a = 1 << len(a)
@@ -489,7 +485,7 @@ def evaluate_hybrid(
     p: Polynomial, partition: Bipartition, block_a: BlockStrategy, block_b: BlockStrategy
 ) -> float:
     """Value of p under one pair of block strategies, rounded once from the exact sum."""
-    _check_partition(p, partition)
+    _check_same_count("bipartition", partition.n, "polynomial", p.n)
     if block_a.parties != partition.block_a_parties:
         raise InvalidArgumentError("block A strategy does not match the bipartition")
     if block_b.parties != partition.block_b_parties:

@@ -55,9 +55,16 @@ __all__ = [
 ]
 
 
-def _check_party_count(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidArgumentError(f"party count must be a positive integer, got {n!r}")
+def _check_party_count(n: int, least: int = 1) -> None:
+    """The one owner of the floor rule: a party count is an int, not a bool, of at least `least`."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < least:
+        raise InvalidArgumentError(f"party count must be an integer >= {least}, got {n!r}")
+
+
+def _check_same_count(what: str, count: int, other: str, n: int) -> None:
+    """The one owner of the agreement rule: `what`, of `count` parties, must match `other`, of n."""
+    if count != n:
+        raise InvalidArgumentError(f"{what} has {count} parties, {other} has {n}")
 
 
 @dataclass(frozen=True, order=True)
@@ -323,10 +330,7 @@ class Polynomial:
         for term, coef in terms.items():
             if not isinstance(term, Term):
                 raise InvalidArgumentError(f"polynomial keys must be Term, got {term!r}")
-            if term.n != self.n:
-                raise InvalidArgumentError(
-                    f"term {term.label()} has n={term.n}, polynomial has n={self.n}"
-                )
+            _check_same_count(f"term {term.label()}", term.n, "polynomial", self.n)
             by_mask[term.prime_mask] = coef
         object.__setattr__(self, "terms", _from_coefficients(self.n, by_mask).terms)
 
@@ -461,10 +465,7 @@ class CorrelationVector:
                     f"correlation value for {term.label()} must be a real number, "
                     f"got {self.values[term]!r}"
                 ) from exc
-            if term.n != self.n:
-                raise InvalidArgumentError(
-                    f"term {term.label()} has n={term.n}, vector has n={self.n}"
-                )
+            _check_same_count(f"term {term.label()}", term.n, "correlation vector", self.n)
             if not -1.0 <= v <= 1.0:
                 raise InvalidArgumentError(
                     f"correlation value for {term.label()} is {v}, outside [-1, 1]"
@@ -507,8 +508,7 @@ def mk(n: int) -> Polynomial:
     integer numerators c (denominator 2**(m-1)) the step is
     concat(c + c[::-1], c - c[::-1]), starting from [1, 0] at m = 1.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidArgumentError(f"mk requires a party count >= 1, got {n!r}")
+    _check_party_count(n)
     return _from_numerators(n, _mk_numerators(n), n - 1)
 
 
@@ -521,8 +521,7 @@ def prime_flip(p: Polynomial) -> Polynomial:
 
 def svetlichny(n: int) -> Polynomial:
     """The n-party Svetlichny polynomial: mk(n) for even n, else (mk + mk')/2."""
-    if not isinstance(n, int) or n < 2:
-        raise InvalidArgumentError(f"svetlichny requires a party count >= 2, got {n!r}")
+    _check_party_count(n, 2)
     if n % 2 == 0:
         return mk(n)
     num = _mk_numerators(n)
@@ -531,10 +530,9 @@ def svetlichny(n: int) -> Polynomial:
 
 def svetlichny_minus(n: int) -> Polynomial:
     """The companion form (mk - mk')/2, defined for odd n >= 3 only."""
-    if not isinstance(n, int) or n < 3 or n % 2 == 0:
-        raise InvalidArgumentError(
-            f"svetlichny_minus requires an odd party count >= 3, got {n!r}"
-        )
+    _check_party_count(n, 3)
+    if n % 2 == 0:
+        raise InvalidArgumentError(f"svetlichny_minus is defined for odd n only, got {n}")
     num = _mk_numerators(n)
     return _from_numerators(n, num - num[::-1], n)
 
@@ -543,8 +541,7 @@ def combine(
     p: Polynomial, q: Polynomial, alpha: DyadicLike, beta: DyadicLike
 ) -> Polynomial:
     """alpha*p + beta*q with exact cancellation of like terms."""
-    if p.n != q.n:
-        raise InvalidArgumentError(f"cannot combine polynomials with n={p.n} and n={q.n}")
+    _check_same_count("second polynomial", q.n, "first polynomial", p.n)
     stores = _store(p), _store(q)
     weights = DyadicCoefficient._coerce(alpha), DyadicCoefficient._coerce(beta)
     k = max(ks + w.log2_denominator for (_, _, ks), w in zip(stores, weights))
@@ -591,13 +588,14 @@ def support_size(p: Polynomial) -> int:
 
 
 def evaluate(p: Polynomial, c: CorrelationVector | Mapping[Term, float]) -> float:
-    """Sum of coefficient * correlation over p's support."""
-    if isinstance(c, CorrelationVector) and c.n != p.n:
-        raise InvalidArgumentError(
-            f"correlation vector is for {c.n} parties, polynomial for {p.n}"
-        )
-    values = c.values if isinstance(c, CorrelationVector) else c
-    by_mask = {t.prime_mask: v for t, v in values.items() if isinstance(t, Term) and t.n == p.n}
+    """Sum of coefficient * correlation over p's support.
+
+    A plain mapping is checked as the CorrelationVector of p's party count.
+    """
+    if not isinstance(c, CorrelationVector):
+        c = CorrelationVector(p.n, c)
+    _check_same_count("correlation vector", c.n, "polynomial", p.n)
+    by_mask = {t.prime_mask: v for t, v in c.values.items()}
     coefs = dict(_mask_items(p))
     missing = [m for m in coefs if m not in by_mask]
     if missing:
@@ -606,7 +604,7 @@ def evaluate(p: Polynomial, c: CorrelationVector | Mapping[Term, float]) -> floa
             f"correlation data is missing {len(missing)} term(s): {labels}",
             missing=tuple(Term(p.n, m) for m in missing),
         )
-    return sum(float(coef) * float(by_mask[m]) for m, coef in coefs.items())
+    return sum(float(coef) * by_mask[m] for m, coef in coefs.items())
 
 
 # ---------------------------------------------------------------------------

@@ -310,8 +310,7 @@ def bell_operator(
 ) -> BellOperator:
     """Substitute each setting symbol with its observable and sum the products."""
     _check_cap(p, cap)
-    if p.n != f.n:
-        raise InvalidArgumentError(f"polynomial has {p.n} parties, frame has {f.n}")
+    polynomial._check_same_count("polynomial", p.n, "frame", f.n)
     matrix = _bell_matrix(_coefficient_tensor(p), _ops_from_vectors(_frame_vectors(f)))
     return BellOperator(n=p.n, entries=matrix, source=(p, f))
 
@@ -353,8 +352,7 @@ def _trace_product(rho: np.ndarray, matrix: np.ndarray) -> float:
 
 def expectation(op: BellOperator, state: State) -> float:
     """Tr(rho O); a pure state enters as rho = |psi><psi|."""
-    if op.n != state.n:
-        raise InvalidArgumentError(f"operator has {op.n} qubits, state has {state.n}")
+    polynomial._check_same_count("state", state.n, "operator", op.n)
     return _trace_product(_density(state), op.entries)
 
 
@@ -494,9 +492,8 @@ def effective_bloch(
 ) -> np.ndarray:
     """Gradient of the expectation with respect to one setting's Bloch vector."""
     _check_cap(p, cap)
-    if p.n != f.n:
-        raise InvalidArgumentError(f"polynomial has {p.n} parties, frame has {f.n}")
-    _check_qubits(state.n, p.n)
+    polynomial._check_same_count("polynomial", p.n, "frame", f.n)
+    polynomial._check_same_count("state", state.n, "polynomial", p.n)
     if not 0 <= party < p.n:
         raise InvalidArgumentError(f"party index {party} out of range for n={p.n}")
     t = _correlations(_density(state))
@@ -671,7 +668,7 @@ def seesaw(
     with the per-update value history of the winning restart.
     """
     _check_cap(p, cap)
-    _check_qubits(state.n, p.n)
+    polynomial._check_same_count("state", state.n, "polynomial", p.n)
     rho, w = _density(state), _coefficient_tensor(p)
 
     def attempt(rng: np.random.Generator) -> SeesawResult:
@@ -820,7 +817,7 @@ def parse_state(spec: str, n: int) -> PureState:
             raise DataFormatError(bad) from exc
         if len(args) != (1 if kind == "ghz" else 2) or args[0] < 1:
             raise DataFormatError(bad)
-        _check_qubits(args[0], n)
+        polynomial._check_same_count("state", args[0], "polynomial", n)
         try:
             return ghz(*args) if kind == "ghz" else basis_state(*args)
         except InvalidArgumentError as exc:
@@ -829,14 +826,9 @@ def parse_state(spec: str, n: int) -> PureState:
         if not rest:
             raise DataFormatError(f"bad state spec {spec!r} (want file:<path>)")
         state = _state_from_text(polynomial.read_text_file(rest, "state file"))
-        _check_qubits(state.n, n)
+        polynomial._check_same_count("state", state.n, "polynomial", n)
         return state
     raise DataFormatError(f"unknown state spec {spec!r} (want ghz:, basis:, or file:)")
-
-
-def _check_qubits(qubits: int, n: int) -> None:
-    if qubits != n:
-        raise InvalidArgumentError(f"state has {qubits} qubits, polynomial has {n} parties")
 
 
 def _state_from_text(text: str) -> PureState:

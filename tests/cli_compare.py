@@ -136,6 +136,13 @@ SINGLE_FAULT = [
     ["classify", "--poly", "nonsense", "3", "--value", "1.0"],
     ["classify", "--poly", "mk", "3", "--value", "9.0"],
     ["classify", "--poly", "mk", "3", "--value", "nan"],
+    # party count below a family's floor, or a partition of another count
+    ["poly", "mk", "0"],
+    ["poly", "svetlichny", "1"],
+    ["poly", "svetlichny-minus", "4"],
+    ["bounds", "mk", "1"],
+    ["classify", "--poly", "mk", "1", "--value", "0.5"],
+    ["bounds", "mk", "3", "--partition", "A=1|B=2,3,4"],
     # usage
     ["poly", "nonsense", "3"],
     ["--restarts", "0", "qmax", "mk", "3"],

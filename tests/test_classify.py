@@ -287,9 +287,6 @@ class TestBoundTable:
             ),
             "hybrid bound exceeds the algebraic limit",
         ),
-        (lambda: C.mk_bound(1, ModelKind.local()), "mk_bound needs n >= 2, got 1"),
-        (lambda: C.nonseparability_verdict(1.0, 1), "verdicts need n >= 2, got 1"),
-        (lambda: C.entanglement_depth_verdict(1.0, True), "verdicts need n >= 2, got True"),
     ],
 )
 def test_bad_input_errors(make, message):

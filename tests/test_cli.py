@@ -105,7 +105,7 @@ class TestBounds:
     def test_partition_party_count_checked_by_the_library(self):
         res = run_cli("bounds", "mk", "2", "--partition", "A=1|B=2,3")
         assert (res.code, res.out) == (2, "")
-        assert res.err == "error: bipartition is over 3 parties, polynomial over 2\n"
+        assert res.err == "error: bipartition has 3 parties, polynomial has 2\n"
 
     def test_unknown_model_rejected(self):
         res = run_cli("bounds", "mk", "3", "--models", "local,quantum")
@@ -231,7 +231,7 @@ class TestClassify:
         path.write_text("n=2\n00 1\n01 1\n10 1\n11 -1\n")
         res = run_cli("classify", "--poly", "mk", "3", "--correlations", str(path))
         assert (res.code, res.err) == (
-            2, "error: correlation vector is for 2 parties, polynomial for 3\n"
+            2, "error: correlation vector has 2 parties, polynomial has 3\n"
         )
 
     def test_state_and_frame(self, tmp_path):
@@ -443,7 +443,7 @@ class TestSettingsReachEveryCommand:
         frame_path.write_text(Q.frame_to_text(mermin3_frame()))
         argv = [{"SPEC": spec, "FRAME": str(frame_path)}.get(arg, arg) for arg in command]
         res = run_cli(*argv)
-        assert (res.code, res.err) == (2, "error: state has 30 qubits, polynomial has 3 parties\n")
+        assert (res.code, res.err) == (2, "error: state has 30 parties, polynomial has 3\n")
 
 
 class TestStateAndFrameFaults:
@@ -474,12 +474,12 @@ class TestStateAndFrameFaults:
             ),
             ([*QMAX, "file:{tmp}/missing.txt"], 4, MISSING.replace("{what}", "state")),
             ([*CLASSIFY, "file:{tmp}/missing.txt", *FRAME3], 4, MISSING.replace("{what}", "state")),
-            ([*QMAX, "ghz:4"], 2, "state has 4 qubits, polynomial has 3 parties"),
-            ([*QMAX, "file:{tmp}/ghz2.txt"], 2, "state has 2 qubits, polynomial has 3 parties"),
-            ([*CLASSIFY, "basis:2:1", *FRAME3], 2, "state has 2 qubits, polynomial has 3 parties"),
+            ([*QMAX, "ghz:4"], 2, "state has 4 parties, polynomial has 3"),
+            ([*QMAX, "file:{tmp}/ghz2.txt"], 2, "state has 2 parties, polynomial has 3"),
+            ([*CLASSIFY, "basis:2:1", *FRAME3], 2, "state has 2 parties, polynomial has 3"),
             (
                 [*CLASSIFY, "file:{tmp}/ghz2.txt", *FRAME3], 2,
-                "state has 2 qubits, polynomial has 3 parties",
+                "state has 2 parties, polynomial has 3",
             ),
             (
                 [*CLASSIFY, "ghz:3", "--frame", "{tmp}/frame2.txt"], 2,

@@ -707,7 +707,6 @@ class TestBadInput:
         [
             (lambda: LocalStrategy(()), "a local strategy needs at least one party"),
             (lambda: LocalStrategy(((1, 1, 1),)), "each party needs exactly two outcomes (a, a')"),
-            (lambda: Bipartition(1, 1), "bipartitions need n >= 2 parties, got 1"),
             (lambda: BlockStrategy((), ()), "a block strategy needs at least one party"),
             (
                 lambda: M.evaluate_hybrid(

@@ -15,8 +15,11 @@ from hypothesis import given, settings, strategies as st
 from bellpoly import classify as C
 from bellpoly import models as M
 from bellpoly import polynomial as P
+from bellpoly import quantum as Q
 from bellpoly.errors import DataFormatError, IncompleteDataError, InvalidArgumentError
 from bellpoly.polynomial import DyadicCoefficient, Polynomial, Term
+
+from conftest import chsh_frame
 
 HALF = DyadicCoefficient(1, 1)
 QUARTER = DyadicCoefficient(1, 2)
@@ -214,10 +217,18 @@ class TestSvetlichnyMinus:
         minus = P.svetlichny_minus(3)
         assert P.prime_flip(minus) == P.combine(minus, minus, -1, 0)
 
-    @pytest.mark.parametrize("n", [2, 4, 1])
-    def test_invalid_n(self, n):
-        with pytest.raises(InvalidArgumentError):
+    @pytest.mark.parametrize(
+        ("n", "message"),
+        [
+            pytest.param(2, "party count must be an integer >= 3, got 2", id="2"),
+            pytest.param(4, "svetlichny_minus is defined for odd n only, got 4", id="4"),
+            pytest.param(1, "party count must be an integer >= 3, got 1", id="1"),
+        ],
+    )
+    def test_invalid_n(self, n, message):
+        with pytest.raises(InvalidArgumentError) as err:
             P.svetlichny_minus(n)
+        assert str(err.value) == message
 
 
 class TestCombine:
@@ -352,6 +363,41 @@ class TestEvaluate:
             P.evaluate(m2, partial)
         assert "A1' A2'" in str(err.value)
         assert len(err.value.missing) == 1
+
+    FULL2 = {Term(2, m): 0.5 for m in range(4)}
+
+    @pytest.mark.parametrize(
+        ("values", "message"),
+        [
+            pytest.param(
+                {**FULL2, Term(2, 0): float("nan")},
+                "correlation value for A1 A2 is nan, outside [-1, 1]",
+                id="nan",
+            ),
+            pytest.param(
+                {**FULL2, Term(2, 0): 7.0},
+                "correlation value for A1 A2 is 7.0, outside [-1, 1]",
+                id="7.0",
+            ),
+            pytest.param(
+                {**FULL2, "x": 0.5}, "correlation keys must be Term, got 'x'", id="str-key"
+            ),
+            pytest.param(
+                {**FULL2, Term(3, 0): 0.5},
+                "term A1 A2 A3 has 3 parties, correlation vector has 2",
+                id="term-of-another-n",
+            ),
+            pytest.param(
+                {Term(3, m): 0.5 for m in range(8)},
+                "term A1 A2 A3 has 3 parties, correlation vector has 2",
+                id="mapping-of-another-n",
+            ),
+        ],
+    )
+    def test_plain_mapping_checked_as_correlation_vector(self, values, message):
+        with pytest.raises(InvalidArgumentError) as err:
+            P.evaluate(P.mk(2), values)
+        assert type(err.value) is InvalidArgumentError and str(err.value) == message
 
     def test_correlation_vector_input(self):
         cv = P.CorrelationVector(2, {t: 0.5 for t in P.mk(2).terms})
@@ -630,7 +676,7 @@ class TestTermView:
             (
                 lambda: Polynomial(2, {Term(3, 5): ONE}),
                 BAD,
-                "term A1' A2 A3' has n=3, polynomial has n=2",
+                "term A1' A2 A3' has 3 parties, polynomial has 2",
             ),
             (
                 lambda: Polynomial(1, {Term(1, 0): DyadicCoefficient(0)}),
@@ -649,8 +695,8 @@ class TestTermView:
                 DataFormatError,
                 "line 1: not a polynomial term: '+1/3 * A1'",
             ),
-            (lambda: Polynomial(0, {}), BAD, "party count must be a positive integer, got 0"),
-            (lambda: P._build(0, [0], [1], 0), BAD, "party count must be a positive integer, got 0"),
+            (lambda: Polynomial(0, {}), BAD, "party count must be an integer >= 1, got 0"),
+            (lambda: P._build(0, [0], [1], 0), BAD, "party count must be an integer >= 1, got 0"),
             pytest.param(
                 lambda: Term(2, True), BAD, "prime_mask must lie in [0, 2^2), got True", id="bool-mask-term"
             ),
@@ -675,7 +721,7 @@ class TestTermView:
             (
                 lambda: P.CorrelationVector(2, {Term(3, 0): 0.5}),
                 BAD,
-                "term A1 A2 A3 has n=3, vector has n=2",
+                "term A1 A2 A3 has 3 parties, correlation vector has 2",
             ),
             *(
                 pytest.param(
@@ -697,7 +743,7 @@ class TestTermView:
                 )
             ),
             *(
-                pytest.param(make, BAD, "party count must be a positive integer, got True", id=name)
+                pytest.param(make, BAD, "party count must be an integer >= 1, got True", id=name)
                 for name, make in (
                     ("bool-n-from-dict", lambda: P.from_dict({"n": True, "terms": [
                         {"prime_mask": 0, "numerator": 1, "log2_denominator": 0}
@@ -709,7 +755,7 @@ class TestTermView:
             (
                 lambda: P.from_dict({"n": -1, "terms": []}),
                 BAD,
-                "party count must be a positive integer, got -1",
+                "party count must be an integer >= 1, got -1",
             ),
             (
                 lambda: P.from_dict({"n": 2, "terms": [
@@ -986,3 +1032,119 @@ class TestLayering:
         modules = "|".join(path.stem for path in self.SOURCES.glob("*.py"))
         assert "classify.depth_thresholds" in read
         assert not {name for name in read | imported if re.match(rf"({modules})\._", name)}
+
+
+SPLIT3 = M.Bipartition(3, 0b001)  # A={1}, B={2,3}
+FLOOR_ENTRIES = [
+    ("mk", 1, P.mk),
+    ("svetlichny", 2, P.svetlichny),
+    ("svetlichny_minus", 3, P.svetlichny_minus),
+    ("Bipartition", 2, lambda n: M.Bipartition(n, 1)),
+    ("bipartitions", 2, M.bipartitions),
+    ("mk_bound", 2, lambda n: C.mk_bound(n, C.ModelKind.local())),
+    ("svetlichny_bounds", 3, C.svetlichny_bounds),
+    ("entanglement_depth_verdict", 2, lambda n: C.entanglement_depth_verdict(1.0, n)),
+    ("nonseparability_verdict", 2, lambda n: C.nonseparability_verdict(1.0, n)),
+    ("Term", 1, lambda n: Term(n, 0)),
+    ("Polynomial", 1, lambda n: Polynomial(n, {})),
+    ("CorrelationVector", 1, lambda n: P.CorrelationVector(n, {})),
+    ("PureState", 1, lambda n: Q.PureState(n, [1])),
+    ("DensityMatrix", 1, lambda n: Q.DensityMatrix(n, [[1]])),
+    ("BellOperator", 1, lambda n: Q.BellOperator(n, [[1]], (P.mk(1), chsh_frame()))),
+    ("ghz", 1, Q.ghz),
+    ("basis_state", 1, lambda n: Q.basis_state(n, 0)),
+]
+
+STATE3_POLY2 = "state has 3 parties, polynomial has 2"
+POLY3_FRAME2 = "polynomial has 3 parties, frame has 2"
+SPLIT3_POLY2 = "bipartition has 3 parties, polynomial has 2"
+AGREEMENT_CASES = [
+    ("parse_state-ghz", lambda: Q.parse_state("ghz:4", 3), "state has 4 parties, polynomial has 3"),
+    (
+        "parse_state-basis",
+        lambda: Q.parse_state("basis:2:1", 3),
+        "state has 2 parties, polynomial has 3",
+    ),
+    ("seesaw", lambda: Q.seesaw(P.mk(2), Q.ghz(3), restarts=1, seed=0), STATE3_POLY2),
+    (
+        "effective_bloch-state",
+        lambda: Q.effective_bloch(P.mk(2), chsh_frame(), Q.ghz(3), 0, False),
+        STATE3_POLY2,
+    ),
+    (
+        "effective_bloch-frame",
+        lambda: Q.effective_bloch(P.mk(3), chsh_frame(), Q.ghz(3), 0, False),
+        POLY3_FRAME2,
+    ),
+    ("bell_operator", lambda: Q.bell_operator(P.mk(3), chsh_frame()), POLY3_FRAME2),
+    (
+        "expectation",
+        lambda: Q.expectation(Q.bell_operator(P.mk(2), chsh_frame()), Q.ghz(3)),
+        "state has 3 parties, operator has 2",
+    ),
+    (
+        "evaluate_local",
+        lambda: M.evaluate_local(P.mk(3), M.LocalStrategy(((1, 1), (1, 1)))),
+        "strategy has 2 parties, polynomial has 3",
+    ),
+    ("hybrid_bound", lambda: M.hybrid_bound(P.mk(2), SPLIT3), SPLIT3_POLY2),
+    ("brute_hybrid_bound", lambda: M.brute_hybrid_bound(P.mk(2), SPLIT3), SPLIT3_POLY2),
+    (
+        "evaluate_hybrid",
+        lambda: M.evaluate_hybrid(
+            P.mk(2), SPLIT3, M.BlockStrategy((0,), (1, 1)), M.BlockStrategy((1, 2), (1,) * 4)
+        ),
+        SPLIT3_POLY2,
+    ),
+    (
+        "evaluate",
+        lambda: P.evaluate(P.mk(3), P.CorrelationVector(2, {})),
+        "correlation vector has 2 parties, polynomial has 3",
+    ),
+    (
+        "combine",
+        lambda: P.combine(P.mk(2), P.mk(3), 1, 1),
+        "second polynomial has 3 parties, first polynomial has 2",
+    ),
+    (
+        "Polynomial-term",
+        lambda: Polynomial(2, {Term(3, 5): ONE}),
+        "term A1' A2 A3' has 3 parties, polynomial has 2",
+    ),
+    (
+        "CorrelationVector-term",
+        lambda: P.CorrelationVector(2, {Term(3, 0): 0.5}),
+        "term A1 A2 A3 has 3 parties, correlation vector has 2",
+    ),
+]
+
+
+class TestPartyCountRules:
+    """Both party-count rules have one owner in polynomial, so every caller gives one message.
+
+    The floor: a party count is an int, never a bool, of at least the entry's
+    least count.  The agreement: two objects that meet have the same count.
+    """
+
+    @pytest.mark.parametrize(
+        ("make", "least", "n"),
+        [
+            pytest.param(make, least, n, id=f"{name}-{n!r}")
+            for name, least, make in FLOOR_ENTRIES
+            for n in (least - 1, True, 2.0)
+        ],
+    )
+    def test_floor(self, make, least, n):
+        with pytest.raises(InvalidArgumentError) as err:
+            make(n)
+        assert type(err.value) is InvalidArgumentError
+        assert str(err.value) == f"party count must be an integer >= {least}, got {n!r}"
+
+    @pytest.mark.parametrize(
+        ("make", "message"),
+        [pytest.param(make, message, id=name) for name, make, message in AGREEMENT_CASES],
+    )
+    def test_agreement(self, make, message):
+        with pytest.raises(InvalidArgumentError) as err:
+            make()
+        assert type(err.value) is InvalidArgumentError and str(err.value) == message
