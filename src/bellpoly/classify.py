@@ -2,7 +2,9 @@
 
 Every tabulated bound in this module is an exact power of sqrt(2), carried
 symbolically as 2**(p/2) with integer p and rendered as a decimal only at
-output boundaries.  Verdicts use strict inequalities with a 1e-9 guard so a
+output boundaries.  The closed forms are stated once, in _bound_table;
+mk_bound, svetlichny_bounds, depth_thresholds, both verdicts and table1 read
+them from there.  Verdicts use strict inequalities with a 1e-9 guard so a
 value within floating-point noise of a threshold never over-claims.
 """
 
@@ -46,10 +48,9 @@ class Root2Power:
     half_exponent: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.half_exponent, int) or self.half_exponent < 0:
-            raise InvalidArgumentError(
-                f"half exponent must be a non-negative integer, got {self.half_exponent!r}"
-            )
+        h = self.half_exponent
+        if not isinstance(h, int) or isinstance(h, bool) or h < 0:
+            raise InvalidArgumentError(f"half exponent must be a non-negative integer, got {h!r}")
 
     def __float__(self) -> float:
         return 2.0 ** (self.half_exponent / 2)
@@ -87,9 +88,10 @@ class ModelKind:
         if self.kind not in _KINDS:
             raise InvalidArgumentError(f"unknown model kind {self.kind!r}")
         needs_param = self.kind in ("hybrid", "quantum-depth")
-        if needs_param and (not isinstance(self.param, int) or self.param < 1):
+        param = self.param
+        if needs_param and (not isinstance(param, int) or isinstance(param, bool) or param < 1):
             raise InvalidArgumentError(f"{self.kind} needs a positive integer parameter")
-        if not needs_param and self.param is not None:
+        if not needs_param and param is not None:
             raise InvalidArgumentError(f"{self.kind} takes no parameter")
 
     @classmethod
@@ -127,6 +129,7 @@ class BoundTable:
     def __post_init__(self) -> None:
         if self.family not in ("mk", "svetlichny"):
             raise InvalidArgumentError(f"unknown polynomial family {self.family!r}")
+        polynomial._check_party_count(self.n, 2)
         table = dict(self.bounds)
         local = table.get(ModelKind.local())
         algebraic = table.get(ModelKind.algebraic())
@@ -189,73 +192,71 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _mk_algebraic(n: int) -> Root2Power:
-    """The algebraic limit of the n-party MK polynomial, and of the Svetlichny one."""
-    return Root2Power(n if n % 2 == 0 else n - 1)
+def _bound_table(family: str, n: int) -> BoundTable:
+    """Every closed-form bound of one family at n parties; the only place one is stated.
 
-
-def _mk_depth_bounds(n: int) -> dict[int, Root2Power]:
-    """The n-party MK bound 2**((m-1)/2) at entanglement depth m, keyed by m.
-
-    Only m <= 2 and m >= n - 2 are stored.  For 3 <= m <= n - 3 two clusters
-    of at least 3 parties beat 2**((m-1)/2): at n = 6, two 3-party states
-    reach 2*sqrt(2).
+    Local 1 and the algebraic limit 2**floor(n/2) for both families.  MK:
+    hybrid 2**floor((n-1)/2) at every block size k, as computed by
+    models.hybrid_bound_all (at every split, for mk and its prime flip) and
+    stored for n <= 9 only; depth m 2**((m-1)/2), stored for m <= 2 and
+    m >= n - 2 only, since for 3 <= m <= n - 3 two clusters of at least 3
+    parties beat it (at n = 6 two 3-party states reach 2*sqrt(2)).
+    Svetlichny: hybrid 2**floor((n-2)/2) at every k <= n/2, and sqrt(2)
+    times that at full depth n.
     """
-    return {m: Root2Power(m - 1) for m in range(1, n + 1) if m <= 2 or m >= n - 2}
+    polynomial._check_party_count(n, 2)
+    bounds = {ModelKind.local(): Root2Power(0)}
+    if family == "mk":
+        if n <= 9:
+            for k in range(1, n):
+                bounds[ModelKind.hybrid_separable(k)] = Root2Power(2 * ((n - 1) // 2))
+        for m in range(1, n + 1):
+            if m <= 2 or m >= n - 2:
+                bounds[ModelKind.quantum_depth(m)] = Root2Power(m - 1)
+    else:
+        hybrid = Root2Power(2 * ((n - 2) // 2))
+        for k in range(1, n // 2 + 1):
+            bounds[ModelKind.hybrid_separable(k)] = hybrid
+        bounds[ModelKind.quantum_depth(n)] = hybrid * Root2Power(1)
+    bounds[ModelKind.algebraic()] = Root2Power(2 * (n // 2))
+    return BoundTable(family=family, n=n, bounds=bounds)
 
 
 def depth_thresholds(n: int) -> dict[int, Root2Power]:
     """Stored MK bounds at depth m < n, keyed by the depth m + 1 that crossing one certifies."""
-    return {m + 1: bound for m, bound in _mk_depth_bounds(n).items() if m < n}
-
-
-def _svetlichny_hybrid(n: int) -> Root2Power:
-    return Root2Power(n - 2 if n % 2 == 0 else n - 3)
+    return {
+        model.param + 1: bound
+        for model, bound in _bound_table("mk", n).bounds.items()
+        if model.kind == "quantum-depth" and model.param < n
+    }
 
 
 def mk_bound(n: int, model: ModelKind) -> Root2Power:
     """Closed-form bound of the n-party MK polynomial under one model class.
 
-    The hybrid bound is 2**floor((n-1)/2) at every block size k, as computed
-    by models.hybrid_bound_all for n = 2..9 (the same at every split, for mk
-    and its prime flip).  It is tabulated only there; larger n raise
-    NotTabulatedError.  The bound at entanglement depth m, 2**((m-1)/2), holds
-    only for m <= 2 and m >= n - 2; other m raise NotTabulatedError too.
+    The bounds are those of _bound_table.  A block size or depth out of range
+    raises InvalidArgumentError; an in-range model with no stored bound (a
+    hybrid bound past n = 9, a depth 3 <= m <= n - 3) raises
+    NotTabulatedError.
     """
-    polynomial._check_party_count(n, 2)
-    if model.kind == "local":
-        return Root2Power(0)
-    if model.kind == "quantum-depth":
-        m = model.param
-        if not 1 <= m <= n:
-            raise InvalidArgumentError(f"entanglement depth m={m} out of range 1..{n}")
-        bound = _mk_depth_bounds(n).get(m)
-        if bound is None:
-            raise NotTabulatedError(f"no MK bound is stored at n={n} for depth m={m}")
-        return bound
-    if model.kind == "algebraic":
-        return _mk_algebraic(n)
-    # hybrid
-    if not 1 <= model.param <= n - 1:
+    bounds = _bound_table("mk", n).bounds
+    if model.kind == "quantum-depth" and not 1 <= model.param <= n:
+        raise InvalidArgumentError(f"entanglement depth m={model.param} out of range 1..{n}")
+    if model.kind == "hybrid" and not 1 <= model.param <= n - 1:
         raise InvalidArgumentError(f"block size k={model.param} out of range 1..{n - 1}")
-    if n <= 9:
-        return Root2Power(2 * ((n - 1) // 2))
-    raise NotTabulatedError(
-        f"no closed-form hybrid bound is stored for the MK polynomial at n={n}; "
-        f"compute it with models.hybrid_bound_all"
-    )
+    bound = bounds.get(model)
+    if bound is None:
+        raise NotTabulatedError(
+            f"no MK bound is stored at n={n} for {model.render()}; "
+            f"compute it with models.hybrid_bound_all or quantum.block_product_max"
+        )
+    return bound
 
 
 def svetlichny_bounds(n: int) -> BoundTable:
     """The full bound table of the n-party Svetlichny polynomial; its algebraic limit is MK's."""
     polynomial._check_party_count(n, 3)
-    hybrid = _svetlichny_hybrid(n)
-    table: dict[ModelKind, Root2Power] = {ModelKind.local(): Root2Power(0)}
-    for k in range(1, n // 2 + 1):
-        table[ModelKind.hybrid_separable(k)] = hybrid
-    table[ModelKind.quantum_depth(n)] = Root2Power(hybrid.half_exponent + 1)
-    table[ModelKind.algebraic()] = _mk_algebraic(n)
-    return BoundTable(family="svetlichny", n=n, bounds=table)
+    return _bound_table("svetlichny", n)
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +264,9 @@ def svetlichny_bounds(n: int) -> BoundTable:
 # ---------------------------------------------------------------------------
 
 
-def _check_value(value: float, n: int, what: str) -> None:
-    """Reject a party count below 2, then a value no n-party correlation data can produce."""
-    polynomial._check_party_count(n, 2)
-    limit = float(_mk_algebraic(n))
+def _check_value(value: float, table: BoundTable, what: str) -> None:
+    """Reject a value no correlation data of the table's n parties can produce."""
+    limit = float(table.bounds[ModelKind.algebraic()])
     if not math.isfinite(value) or value < 0:
         raise InvalidArgumentError(f"{what} must be a finite non-negative real, got {value!r}")
     if value > limit + VALUE_SANITY_TOL:
@@ -279,12 +279,12 @@ def _check_value(value: float, n: int, what: str) -> None:
 def entanglement_depth_verdict(value: float, n: int, *, tol: float = VERDICT_TOL) -> Verdict:
     """Lower bound on entanglement depth from an MK polynomial value.
 
-    Crossing 2**((m-1)/2) certifies at least (m+1)-particle entanglement for
-    the tabulated m of mk_bound (m <= 2 and m >= n - 2); the strongest
-    threshold strictly crossed (with a `tol` guard) wins.  Depth claims are
-    capped at n, so depth_thresholds holds m up to n-1 only.
+    Crossing the stored MK bound at depth m certifies at least
+    (m+1)-particle entanglement; the strongest threshold of depth_thresholds
+    strictly crossed (with a `tol` guard) wins.  Depth claims are capped at
+    n, so depth_thresholds holds m up to n-1 only.
     """
-    _check_value(value, n, "MK polynomial value")
+    _check_value(value, _bound_table("mk", n), "MK polynomial value")
     thresholds = depth_thresholds(n)
     crossed = [depth for depth in thresholds if value > float(thresholds[depth]) + tol]
     if not crossed:
@@ -307,8 +307,9 @@ def entanglement_depth_verdict(value: float, n: int, *, tol: float = VERDICT_TOL
 
 def nonseparability_verdict(value: float, n: int, *, tol: float = VERDICT_TOL) -> Verdict:
     """Genuine n-party non-separability from a Svetlichny polynomial value."""
-    _check_value(value, n, "Svetlichny polynomial value")
-    threshold = _svetlichny_hybrid(n)
+    table = _bound_table("svetlichny", n)
+    _check_value(value, table, "Svetlichny polynomial value")
+    threshold = table.bounds[ModelKind.hybrid_separable(1)]
     genuine = value > float(threshold) + tol
     return Verdict(
         value=value,
@@ -323,34 +324,27 @@ def nonseparability_verdict(value: float, n: int, *, tol: float = VERDICT_TOL) -
 # The three-party reference table
 # ---------------------------------------------------------------------------
 
-TABLE1_COLUMNS = ("local", "quantum_depth_2", "hybrid_split", "quantum_depth_3", "algebraic")
-_TABLE1_HEAD = {
-    "local": "local",
-    "quantum_depth_2": "qm(depth 2)",
-    "hybrid_split": "2|1 split",
-    "quantum_depth_3": "qm(depth 3)",
-    "algebraic": "algebraic",
-}
-
-_TABLE1_MODELS = {
-    "local": ModelKind.local(),
-    "quantum_depth_2": ModelKind.quantum_depth(2),
-    "hybrid_split": ModelKind.hybrid_separable(1),
-    "quantum_depth_3": ModelKind.quantum_depth(3),
-    "algebraic": ModelKind.algebraic(),
-}
-_S3_BOUNDS = svetlichny_bounds(3).bounds
+_TABLE1 = (  # (column, header, model)
+    ("local", "local", ModelKind.local()),
+    ("quantum_depth_2", "qm(depth 2)", ModelKind.quantum_depth(2)),
+    ("hybrid_split", "2|1 split", ModelKind.hybrid_separable(1)),
+    ("quantum_depth_3", "qm(depth 3)", ModelKind.quantum_depth(3)),
+    ("algebraic", "algebraic", ModelKind.algebraic()),
+)
+TABLE1_COLUMNS = tuple(column for column, _, _ in _TABLE1)
+# The Svetlichny table stores no depth below n.  A depth-2 state of three
+# parties is a product across some 2|1 split, so S3's depth-2 cell is its
+# hybrid bound.  M3 stores every column.
 _TABLE1_STORED: dict[str, dict[str, Root2Power]] = {
-    "M3": {column: mk_bound(3, model) for column, model in _TABLE1_MODELS.items()},
-    "S3": {
-        **{c: _S3_BOUNDS[m] for c, m in _TABLE1_MODELS.items() if c != "quantum_depth_2"},
-        # svetlichny_bounds stores no depth below n.  A depth-2 state of three
-        # parties is a product across some 2|1 split, so it is a hybrid model.
-        "quantum_depth_2": _svetlichny_hybrid(3),
-    },
+    row: {
+        column: bounds.get(model, bounds[ModelKind.hybrid_separable(1)])
+        for column, _, model in _TABLE1
+    }
+    for row, bounds in (
+        ("M3", _bound_table("mk", 3).bounds),
+        ("S3", _bound_table("svetlichny", 3).bounds),
+    )
 }
-
-_QUANTUM_COLUMNS = ("quantum_depth_2", "quantum_depth_3")
 
 
 @dataclass(frozen=True)
@@ -384,7 +378,7 @@ class Table1Report:
 
     def render_text(self) -> str:
         rows = self.rows()
-        header = ["", *(_TABLE1_HEAD[c] for c in TABLE1_COLUMNS)]
+        header = ["", *(head for _, head, _ in _TABLE1)]
         body = [
             [row, *(rows[row][c].stored.render() for c in TABLE1_COLUMNS)]
             for row in ("M3", "S3", "product")
@@ -451,8 +445,8 @@ def table1(
     stored, recomputed = _with_product(_TABLE1_STORED), _with_product(recomputed)
     cells: list[Table1Cell] = []
     for row in ("M3", "S3", "product"):
-        for column in TABLE1_COLUMNS:
-            cell_tol = tolerance if column in _QUANTUM_COLUMNS else 0.0
+        for column, _, model in _TABLE1:
+            cell_tol = tolerance if model.kind == "quantum-depth" else 0.0
             cell = Table1Cell(row, column, stored[row][column], recomputed[row][column], cell_tol)
             _check_cell(cell)
             cells.append(cell)
@@ -466,15 +460,10 @@ def _with_product(rows: dict) -> dict:
 
 
 def _check_cell(cell: Table1Cell) -> None:
-    where = f"table cell {cell.row}:{cell.column}"
-    if cell.tolerance == 0.0:
-        if cell.recomputed != float(cell.stored):
-            raise NumericalIntegrityError(
-                f"{where}: recomputed {cell.recomputed!r} != stored "
-                f"{cell.stored.render()} (bit-exact check)"
-            )
-    elif abs(cell.recomputed - float(cell.stored)) > cell.tolerance:
+    """One comparison for every cell: tolerance 0.0 means bit-exact, and NaN never passes."""
+    if not abs(cell.recomputed - float(cell.stored)) <= cell.tolerance:
+        how = "(bit-exact check)" if cell.tolerance == 0.0 else f"by more than {cell.tolerance}"
         raise NumericalIntegrityError(
-            f"{where}: recomputed {cell.recomputed!r} differs from stored "
-            f"{cell.stored.render()} by more than {cell.tolerance}"
+            f"table cell {cell.row}:{cell.column}: recomputed {cell.recomputed!r} differs "
+            f"from stored {cell.stored.render()} {how}"
         )

@@ -126,7 +126,7 @@ class Bipartition:
         _check_party_count(self.n, 2)
         full = (1 << self.n) - 1
         mask = self.block_a_mask
-        if not isinstance(mask, int) or not 0 < mask < full:
+        if not isinstance(mask, int) or isinstance(mask, bool) or not 0 < mask < full:
             raise InvalidArgumentError(
                 f"block A must be a nonempty proper subset, got mask {mask!r}"
             )

@@ -64,7 +64,8 @@ def _check_party_count(n: int, least: int = 1) -> None:
 def _check_same_count(what: str, count: int, other: str, n: int) -> None:
     """The one owner of the agreement rule: `what`, of `count` parties, must match `other`, of n."""
     if count != n:
-        raise InvalidArgumentError(f"{what} has {count} parties, {other} has {n}")
+        parties = "party" if count == 1 else "parties"
+        raise InvalidArgumentError(f"{what} has {count} {parties}, {other} has {n}")
 
 
 @dataclass(frozen=True, order=True)
@@ -110,7 +111,9 @@ class DyadicCoefficient:
 
     def __post_init__(self) -> None:
         num, k = self.numerator, self.log2_denominator
-        if not isinstance(num, int) or not isinstance(k, int):
+        if isinstance(num, bool) or isinstance(k, bool) or not (
+            isinstance(num, int) and isinstance(k, int)
+        ):
             raise InvalidArgumentError("dyadic parts must be integers")
         if k < 0:
             raise InvalidArgumentError("log2_denominator must be non-negative")
@@ -326,6 +329,7 @@ class Polynomial:
         terms = self.terms
         if isinstance(terms, _TermView) and terms._n == self.n:
             return  # checked by _build
+        _check_party_count(self.n)
         by_mask: dict[int, DyadicCoefficient] = {}
         for term, coef in terms.items():
             if not isinstance(term, Term):

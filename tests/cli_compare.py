@@ -82,6 +82,13 @@ VALID = [
      "{tmp}/corr3.txt"],
     ["classify", "--poly", "mk", "3", "--value", "1.8"],
     ["--format", "structured", "classify", "--poly", "svetlichny", "3", "--value", "1.2"],
+    # beyond n = 3 the bound tables differ: mk 6 has no depth-4 threshold
+    ["--format", "structured", "classify", "--poly", "mk", "6", "--value", "2.9"],
+    ["classify", "--poly", "mk", "9", "--value", "10.0"],
+    ["classify", "--poly", "mk-prime", "4", "--value", "2.0"],
+    ["--format", "structured", "classify", "--poly", "svetlichny", "2", "--value", "1.2"],
+    ["classify", "--poly", "svetlichny", "5", "--value", "2.9"],
+    ["classify", "--poly", "svetlichny-minus", "5", "--value", "3.0"],
     ["--format", "structured", "--restarts", "1", "table1"],
     ["--show-config"],
 ]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import types
+
 import pytest
 
 from bellpoly import classify as C
@@ -149,6 +151,67 @@ def test_every_closed_form_matches_computation():
             check_table(P.svetlichny(n), dict(C.svetlichny_bounds(n).bounds))
 
 
+def two_to(exponent: float) -> Root2Power:
+    """2**exponent for a whole or half-integer exponent."""
+    return Root2Power(int(2 * exponent))
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_closed_forms_written_out(n):
+    """The paper's bounds written out, against every reader of the stored table.
+
+    Both families: local 1, algebraic 2^floor(n/2).  MK: hybrid
+    2^floor((n-1)/2) at every k, stored for n <= 9; depth m 2^((m-1)/2), stored
+    for m <= 2 and m >= n - 2.  Svetlichny: hybrid 2^floor((n-2)/2) at every
+    k <= n/2, and sqrt(2) times that at depth n.  At n = 3 they fill table1's
+    stored rows.
+    """
+    local, algebraic = two_to(0), two_to(n // 2)
+    mk_hybrid = two_to((n - 1) // 2) if n <= 9 else None
+    mk_depth = {m: two_to((m - 1) / 2) for m in range(1, n + 1) if m <= 2 or m >= n - 2}
+    s_hybrid = two_to((n - 2) // 2)
+    s_quantum = two_to((n - 2) // 2 + 1 / 2)
+
+    expected = {ModelKind.local(): local, ModelKind.algebraic(): algebraic}
+    expected |= {ModelKind.hybrid_separable(k): mk_hybrid for k in range(1, n)}
+    expected |= {ModelKind.quantum_depth(m): mk_depth.get(m) for m in range(1, n + 1)}
+    for model, bound in expected.items():
+        if bound is None:
+            with pytest.raises(NotTabulatedError) as err:
+                C.mk_bound(n, model)
+            assert str(err.value) == (
+                f"no MK bound is stored at n={n} for {model.render()}; "
+                f"compute it with models.hybrid_bound_all or quantum.block_product_max"
+            )
+        else:
+            assert C.mk_bound(n, model) == bound, (n, model)
+
+    if n >= 3:
+        assert list(C.svetlichny_bounds(n).bounds.items()) == [
+            (ModelKind.local(), local),
+            *((ModelKind.hybrid_separable(k), s_hybrid) for k in range(1, n // 2 + 1)),
+            (ModelKind.quantum_depth(n), s_quantum),
+            (ModelKind.algebraic(), algebraic),
+        ]
+
+    thresholds = {m + 1: bound for m, bound in mk_depth.items() if m < n}
+    assert list(C.depth_thresholds(n).items()) == list(thresholds.items())
+    for depth, bound in thresholds.items():
+        verdict = C.entanglement_depth_verdict(float(bound) + 1e-6, n)
+        assert (verdict.depth, verdict.threshold) == (depth, bound)
+    assert C.nonseparability_verdict(float(algebraic), n).threshold == s_hybrid
+    with pytest.raises(InconsistentInputError):
+        C.nonseparability_verdict(float(algebraic) + 1e-5, n)
+
+    if n == 3:  # the paper's three-party table; S3's depth-2 cell is its hybrid bound
+        m3 = (local, mk_depth[2], mk_hybrid, mk_depth[3], algebraic)
+        s3 = (local, s_hybrid, s_hybrid, s_quantum, algebraic)
+        assert C._TABLE1_STORED == {
+            "M3": dict(zip(C.TABLE1_COLUMNS, m3)),
+            "S3": dict(zip(C.TABLE1_COLUMNS, s3)),
+        }
+
+
 class TestSvetlichnyBounds:
     def test_invalid_n(self):
         with pytest.raises(InvalidArgumentError):
@@ -287,6 +350,12 @@ class TestBoundTable:
             ),
             "hybrid bound exceeds the algebraic limit",
         ),
+        (lambda: Root2Power(True), "half exponent must be a non-negative integer, got True"),
+        (lambda: ModelKind("hybrid", True), "hybrid needs a positive integer parameter"),
+        (
+            lambda: C.mk_bound(3, ModelKind("quantum-depth", True)),
+            "quantum-depth needs a positive integer parameter",
+        ),
     ],
 )
 def test_bad_input_errors(make, message):
@@ -327,6 +396,13 @@ class TestTable1:
         with pytest.raises(NumericalIntegrityError) as err:
             C.table1(restarts=4, seed=0x5EED)
         assert "S3:quantum_depth_3" in str(err.value)
+
+    def test_nan_quantum_cell_detected(self, monkeypatch):
+        nan = types.SimpleNamespace(value=float("nan"))
+        monkeypatch.setattr(Q, "quantum_max", lambda *args, **kwargs: nan)
+        with pytest.raises(NumericalIntegrityError) as err:
+            C.table1(restarts=1, seed=0x5EED)
+        assert "M3:quantum_depth_3" in str(err.value)
 
     def test_render_text_shape(self):
         report = C.table1(restarts=8, seed=0x5EED)

@@ -709,6 +709,10 @@ class TestBadInput:
             (lambda: LocalStrategy(((1, 1, 1),)), "each party needs exactly two outcomes (a, a')"),
             (lambda: BlockStrategy((), ()), "a block strategy needs at least one party"),
             (
+                lambda: Bipartition(3, True),
+                "block A must be a nonempty proper subset, got mask True",
+            ),
+            (
                 lambda: M.evaluate_hybrid(
                     P.mk(3), SPLIT, BlockStrategy((1,), (1, 1)), BlockStrategy((0, 2), (1,) * 4)
                 ),

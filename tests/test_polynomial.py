@@ -703,6 +703,8 @@ class TestTermView:
             (lambda: Term(2, 1).primed(2), BAD, "party index 2 out of range for n=2"),
             (lambda: DyadicCoefficient(1.5), BAD, "dyadic parts must be integers"),
             (lambda: DyadicCoefficient(1, 0.0), BAD, "dyadic parts must be integers"),
+            (lambda: DyadicCoefficient(True), BAD, "dyadic parts must be integers"),
+            (lambda: DyadicCoefficient(1, True), BAD, "dyadic parts must be integers"),
             (
                 lambda: DyadicCoefficient.parse("x"),
                 DataFormatError,
@@ -1047,12 +1049,15 @@ FLOOR_ENTRIES = [
     ("nonseparability_verdict", 2, lambda n: C.nonseparability_verdict(1.0, n)),
     ("Term", 1, lambda n: Term(n, 0)),
     ("Polynomial", 1, lambda n: Polynomial(n, {})),
+    # the floor is checked before the term keys' counts
+    ("Polynomial-with-term", 1, lambda n: Polynomial(n, {Term(1, 0): ONE})),
     ("CorrelationVector", 1, lambda n: P.CorrelationVector(n, {})),
     ("PureState", 1, lambda n: Q.PureState(n, [1])),
     ("DensityMatrix", 1, lambda n: Q.DensityMatrix(n, [[1]])),
     ("BellOperator", 1, lambda n: Q.BellOperator(n, [[1]], (P.mk(1), chsh_frame()))),
     ("ghz", 1, Q.ghz),
     ("basis_state", 1, lambda n: Q.basis_state(n, 0)),
+    ("BoundTable", 2, lambda n: C.BoundTable("mk", n, {})),
 ]
 
 STATE3_POLY2 = "state has 3 parties, polynomial has 2"
@@ -1110,6 +1115,11 @@ AGREEMENT_CASES = [
         "Polynomial-term",
         lambda: Polynomial(2, {Term(3, 5): ONE}),
         "term A1' A2 A3' has 3 parties, polynomial has 2",
+    ),
+    (
+        "Polynomial-one-party-term",
+        lambda: Polynomial(2, {Term(1, 0): ONE}),
+        "term A1 has 1 party, polynomial has 2",
     ),
     (
         "CorrelationVector-term",
