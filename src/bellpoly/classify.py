@@ -222,13 +222,18 @@ def _bound_table(family: str, n: int) -> BoundTable:
     return BoundTable(family=family, n=n, bounds=bounds)
 
 
-def depth_thresholds(n: int) -> dict[int, Root2Power]:
-    """Stored MK bounds at depth m < n, keyed by the depth m + 1 that crossing one certifies."""
+def _depth_entries(table: BoundTable) -> dict[int, Root2Power]:
+    """depth_thresholds, read from an MK table already built."""
     return {
         model.param + 1: bound
-        for model, bound in _bound_table("mk", n).bounds.items()
-        if model.kind == "quantum-depth" and model.param < n
+        for model, bound in table.bounds.items()
+        if model.kind == "quantum-depth" and model.param < table.n
     }
+
+
+def depth_thresholds(n: int) -> dict[int, Root2Power]:
+    """Stored MK bounds at depth m < n, keyed by the depth m + 1 that crossing one certifies."""
+    return _depth_entries(_bound_table("mk", n))
 
 
 def mk_bound(n: int, model: ModelKind) -> Root2Power:
@@ -284,8 +289,9 @@ def entanglement_depth_verdict(value: float, n: int, *, tol: float = VERDICT_TOL
     strictly crossed (with a `tol` guard) wins.  Depth claims are capped at
     n, so depth_thresholds holds m up to n-1 only.
     """
-    _check_value(value, _bound_table("mk", n), "MK polynomial value")
-    thresholds = depth_thresholds(n)
+    table = _bound_table("mk", n)
+    _check_value(value, table, "MK polynomial value")
+    thresholds = _depth_entries(table)
     crossed = [depth for depth in thresholds if value > float(thresholds[depth]) + tol]
     if not crossed:
         return Verdict(

@@ -9,6 +9,7 @@ byte-identical structured output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -381,6 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: nothing mutates it, and each parse_args fills a fresh namespace."""
+    return build_parser()
+
+
 _COMMANDS = {
     "poly": cmd_poly,
     "bounds": cmd_bounds,
@@ -399,7 +406,7 @@ def _emit(doc: dict, text: str, config: RunConfig) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})

@@ -325,6 +325,8 @@ def ghz(n: int) -> PureState:
 
 def basis_state(n: int, index: int) -> PureState:
     polynomial._check_party_count(n)
+    if not isinstance(index, int) or isinstance(index, bool):
+        raise InvalidArgumentError(f"basis index must be an integer, got {index!r}")
     if not 0 <= index < (1 << n):
         raise InvalidArgumentError(f"basis index {index} out of range for n={n}")
     amps = np.zeros(1 << n, dtype=complex)
@@ -474,11 +476,11 @@ def _fields(w: np.ndarray, vectors: np.ndarray, t: np.ndarray, party: int) -> np
     """
     # the others' Pauli axes in ascending order, then the party's; each
     # contraction moves the leading axis to the back as that party's setting
-    m = np.moveaxis(t, party, -1).reshape(-1)
-    for k in range(w.ndim):
-        if k != party:
-            m = m.reshape(3, -1).T @ vectors[k].T
-    return np.moveaxis(w, party, 0).reshape(2, -1) @ m.reshape(3, -1).T
+    others = [k for k in range(w.ndim) if k != party]
+    m = t.transpose(*others, party).reshape(-1)
+    for k in others:
+        m = m.reshape(3, -1).T @ vectors[k].T
+    return w.transpose(party, *others).reshape(2, -1) @ m.reshape(3, -1).T
 
 
 def effective_bloch(
@@ -509,7 +511,7 @@ def effective_bloch(
 def _random_unit(rng: np.random.Generator) -> np.ndarray:
     while True:
         v = rng.normal(size=3)
-        norm = np.linalg.norm(v)
+        norm = math.sqrt(float(v.dot(v)))  # np.linalg.norm's bytes
         if norm > 1e-12:
             return v / norm
 
@@ -534,7 +536,9 @@ def _vectors_to_frame(vectors: np.ndarray) -> MeasurementFrame:
 
 
 def _ops_from_vectors(vectors: np.ndarray) -> np.ndarray:
-    return np.tensordot(vectors, _SIGMA, axes=(-1, 0))
+    """Each Bloch vector's observable, by the one product np.tensordot forms (same bytes)."""
+    ops = np.dot(vectors.reshape(-1, 3), _SIGMA.reshape(3, 4))
+    return ops.reshape(*vectors.shape[:-1], 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -580,10 +584,10 @@ def _settings_sweep(
     value = math.nan
     for j in range(w.ndim):
         g = _fields(w, vectors, t, j)
-        for s in (0, 1):
-            norm = float(np.linalg.norm(g[s]))
+        for s, field in enumerate(g):
+            norm = math.sqrt(float(field.dot(field)))  # np.linalg.norm's bytes
             if norm > 1e-14:
-                vectors[j, s] = g[s] / norm
+                vectors[j, s] = field / norm
             # degenerate coordinate: keep the previous setting
             value = float(g[0] @ vectors[j, 0] + g[1] @ vectors[j, 1])
             if history is not None:
@@ -753,7 +757,7 @@ def block_product_max(
             m = matrix.reshape((2,) * (2 * p.n)).transpose(axes).reshape(shape)
             _, phi_a = _top_eigenpair(np.einsum("b,ibjd,d->ij", phi_b.conj(), m, phi_b))
             _, phi_b = _top_eigenpair(np.einsum("a,aicj,c->ij", phi_a.conj(), m, phi_a))
-            psi = np.kron(phi_a, phi_b).reshape((2,) * p.n).transpose(np.argsort(order))
+            psi = np.outer(phi_a, phi_b).reshape((2,) * p.n).transpose(np.argsort(order))
             return _projector(psi.reshape(-1))
 
         value, _ = _ascend(w, vectors, product_step, tol, max_sweeps)

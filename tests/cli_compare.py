@@ -3,11 +3,13 @@
 Each case runs `bellpoly.cli.main` in this process and records its argv, exit
 status, stdout and stderr.  The list covers valid invocations of every
 command, in text and structured form, and inputs with one fault each, most of
-them on the `qmax --state` and `classify --state/--frame` paths.  A last group
-has two faults each: which one is reported depends on the order of the
-checks.  Input files are written to a temporary directory, which argv and the
-recorded outputs name `{tmp}`.  An exception that escapes `main` is recorded
-as exit status null, with its type and message as stderr.
+them on the `qmax --state` and `classify --state/--frame` paths.  Another
+group has two faults each: which one is reported depends on the order of the
+checks.  A last group runs in pairs whose second call would show any state
+the first one left behind in the process.  Input files are written to a
+temporary directory, which argv and the recorded outputs name `{tmp}`.  An
+exception that escapes `main` is recorded as exit status null, with its type
+and message as stderr.
 
 Record the outputs of a trusted tree, then compare another tree with them:
 
@@ -171,7 +173,20 @@ DOUBLE_FAULT = [
     [*CLASSIFY_STATE, "ghz:4", "--frame", "{tmp}/missing.txt"],
 ]
 
-CASES = VALID + SINGLE_FAULT + DOUBLE_FAULT
+# Run back to back, each pair's second call must not see the first one's
+# flags or its failed parse: a flag-changing --show-config then a bare one,
+# and a usage error then the same command given correctly.
+ORDERED = [
+    ["--seed", "7", "--restarts", "3", "--format", "structured", "--seesaw-tol", "1e-6",
+     "--show-config"],
+    ["--show-config"],
+    ["--restarts", "x", "qmax", "mk", "3"],
+    ["--restarts", "2", "qmax", "mk", "3"],
+    ["--format", "structured", "classify", "--poly", "mk", "--value", "1.8"],
+    ["--format", "structured", "classify", "--poly", "mk", "3", "--value", "1.8"],
+]
+
+CASES = VALID + SINGLE_FAULT + DOUBLE_FAULT + ORDERED
 
 
 def run_case(main, argv: list[str], tmp: str) -> dict:

@@ -308,6 +308,28 @@ class TestGlobalFlags:
         doc = res.json()
         assert doc["config"]["seed"] == 0x5EED
 
+    def test_one_parser_serves_every_call_of_a_process(self, monkeypatch):
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        help_before = run_cli("--help").out
+        assert run_cli("poly", "chsh", "2").code == 2
+        doc = run_cli("--seed", "7", "--restarts", "3", "--format", "structured",
+                      "qmax", "mk", "3").json()
+        assert (doc["seed"], doc["restarts"]) == (7, 3)
+        shown = run_cli("--show-config")
+        # no parsed value of an earlier call carries over
+        defaults = {f.name: f.default for f in dataclasses.fields(cli.RunConfig)}
+        assert shown.out.splitlines() == [f"{key} = {value}" for key, value in defaults.items()]
+        assert run_cli("--help").out == help_before
+        assert len(built) == 1
+
     def test_no_command_is_usage_error(self):
         res = run_cli()
         assert res.code == 2

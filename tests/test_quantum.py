@@ -252,6 +252,15 @@ class TestBadInput:
                 "operator must be 2x2, got (4, 4)",
             ),
             (lambda: Q.basis_state(2, 4), BAD, "basis index 4 out of range for n=2"),
+            *(
+                pytest.param(
+                    lambda index=index: Q.basis_state(2, index),
+                    BAD,
+                    f"basis index must be an integer, got {index!r}",
+                    id=f"basis-index-{index!r}",
+                )
+                for index in (True, 1.0, "1", None)
+            ),
             (
                 lambda: Q.effective_bloch(P.mk(3), chsh_frame(), Q.ghz(3), 0, False),
                 BAD,
@@ -506,6 +515,72 @@ class TestCorrelations:
         monkeypatch.setattr(Q, "_fields", checked)
         Q._settings_sweep(w, vectors, rho, None)
         assert len(errors) == n and max(errors) < 1e-12
+
+
+def moveaxis_fields(w: np.ndarray, vectors: np.ndarray, t: np.ndarray, party: int) -> np.ndarray:
+    """The byte reference for `Q._fields`, in np.moveaxis form."""
+    m = np.moveaxis(t, party, -1).reshape(-1)
+    for k in range(w.ndim):
+        if k != party:
+            m = m.reshape(3, -1).T @ vectors[k].T
+    return np.moveaxis(w, party, 0).reshape(2, -1) @ m.reshape(3, -1).T
+
+
+def tensordot_ops(vectors: np.ndarray) -> np.ndarray:
+    """The byte reference for `Q._ops_from_vectors`, in np.tensordot form."""
+    return np.tensordot(vectors, Q._SIGMA, axes=(-1, 0))
+
+
+class TestSweepHelperForms:
+    """The sweep's array steps give the bytes of numpy's moveaxis, tensordot and norm."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_fields_and_ops(self, n, seed):
+        rng = np.random.default_rng(seed)
+        w, t = rng.normal(size=(2,) * n), rng.normal(size=(3,) * n)
+        vectors = rng.normal(size=(n, 2, 3))
+        for party in range(n):
+            got = Q._fields(w, vectors, t, party)
+            assert got.tobytes() == moveaxis_fields(w, vectors, t, party).tobytes()
+        assert Q._ops_from_vectors(vectors).tobytes() == tensordot_ops(vectors).tobytes()
+        assert Q._ops_from_vectors(vectors[0]).tobytes() == tensordot_ops(vectors[0]).tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_random_vectors(self, n, seed):
+        rng = np.random.default_rng(seed)
+        want = []
+        while len(want) < 2 * n:
+            v = rng.normal(size=3)
+            norm = np.linalg.norm(v)
+            if norm > 1e-12:
+                want.append(v / norm)
+        got = Q._raw_random_vectors(n, np.random.default_rng(seed))
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
+    def test_sweep(self, n, seed, mixed):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(2,) * n)
+        rho = Q._density(random_density(n, rng) if mixed else Q.random_state(n, rng))
+        vectors = Q._raw_random_vectors(n, rng)
+        want_vectors, want_history = vectors.copy(), []
+        t = Q._correlations(rho)
+        for j in range(n):
+            g = moveaxis_fields(w, want_vectors, t, j)
+            for s in (0, 1):
+                norm = float(np.linalg.norm(g[s]))
+                if norm > 1e-14:
+                    want_vectors[j, s] = g[s] / norm
+                want_history.append(float(g[0] @ want_vectors[j, 0] + g[1] @ want_vectors[j, 1]))
+        history = []
+        value, matrix = Q._settings_sweep(w, vectors, rho, history)
+        assert vectors.tobytes() == want_vectors.tobytes()
+        assert np.array(history).tobytes() == np.array(want_history).tobytes()
+        assert value == want_history[-1]
+        assert matrix.tobytes() == Q._bell_matrix(w, tensordot_ops(want_vectors)).tobytes()
 
 
 class TestEffectiveBloch:
