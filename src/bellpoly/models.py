@@ -3,35 +3,40 @@
 Two model families are searched:
 
 * local scripts, where every party fixes both of its outcomes in advance
-  (4**n scripts, all enumerated);
+  (4**n scripts, all searched);
 * hybrid two-block scripts, where the parties split into blocks A and B with
   arbitrary correlations inside a block and none across.  Only the product of
   outcomes inside a block ever enters a correlation coefficient, so a block
   is fully described by one sign per joint setting choice of its members.
 
+Both are products over blocks, searched by one scan (_block_scan): local is
+the case where every party is its own block, hybrid the case of two blocks.
+The first block is enumerated with the sign of its first setting tuple fixed
+at +1 (flipping the first and the last block together keeps every value, so
+this halves the search), every middle block in full.  The last block adds the
+1-norm of its effective coefficients; its signs match theirs, zeros resolving
+to +1.  Ties go to the first maximiser in lexicographic order (+1 before -1,
+the first block most significant), which always has +1 where the scan fixes it.
+
 Probabilistic mixtures never help: the objective is linear, so deterministic
 scripts are the extreme points and the maximum over them is the model bound.
 
-Both enumerations run on the coefficients scaled to integers at the common
+The scan runs on the coefficients scaled to integers at the common
 denominator 2**K (K the largest log2 denominator), so every objective value
 is an exact integer sum and a bound is that integer over 2**K.  That scaled
 tensor comes from polynomial._scaled_tensor, which owns the rule for its
 dtype: the narrowest of int16, int32 and int64 that holds the coefficients'
 absolute sum, Python ints beyond.  That sum bounds every signed partial sum
-and every objective, and every split's block matrix holds the same entries,
-so the hybrid scan is exact in the tensor's own dtype.
-Every returned witness is re-summed by a second integer contraction, the
-same one through which evaluate_local and evaluate_hybrid compute a value,
-so a witness evaluates to exactly its bound.
-
-Within one hybrid_bound_all call, splits with equal integer block matrices
-share one scan and the witness products it found (every named family has 4
-distinct matrices at n = 8 and 9); each split re-sums that witness on its own
-block matrix.
+and every objective, and every block arrangement holds the same entries, so
+the scan is exact in the tensor's own dtype.
+Every returned witness is re-summed by one integer contraction, _block_sum,
+through which evaluate_local and evaluate_hybrid also compute a value, so a
+witness evaluates to exactly its bound.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -71,11 +76,7 @@ DEFAULT_LOCAL_CAP = 10
 DEFAULT_HYBRID_BLOCK_CAP = 4  # max size of the enumerated block A
 DEFAULT_BRUTE_SETTINGS_CAP = 8  # max 2**|block| per side for the oracle
 
-# Choice index c encodes a party's script (a, a'):
-# c = 0 -> (+1, +1), 1 -> (+1, -1), 2 -> (-1, +1), 3 -> (-1, -1).
-# Lower c is the lexicographically smaller encoding (+1 sorts before -1).
-_CHOICES = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int64)
-# log2 of the entries in one chunk of the hybrid scan: 64 KiB of int16 (256 KiB
+# log2 of the entries in one chunk of the block scan: 64 KiB of int16 (256 KiB
 # of int64) stays in a core's cache; 2**14 to 2**16 time alike, 2**13 and
 # 2**17 are slower
 _CHUNK_LOG2 = 15
@@ -97,6 +98,8 @@ class LocalStrategy:
         if not self.settings:
             raise InvalidArgumentError("a local strategy needs at least one party")
         for pair in self.settings:
+            if not hasattr(pair, "__len__"):
+                raise InvalidArgumentError(f"each party needs a pair (a, a'), got {pair!r}")
             if len(pair) != 2:
                 raise InvalidArgumentError("each party needs exactly two outcomes (a, a')")
             _require_pm1(pair[0], "outcome")
@@ -262,6 +265,75 @@ def _extract_bits(mask: int, parties: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Block-product scan
+# ---------------------------------------------------------------------------
+
+
+def _arrange(tensor: np.ndarray, blocks: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """The tensor with one axis per block, in order; a block's first party is its lowest bit."""
+    axes = [j for block in blocks for j in block[::-1]]
+    return tensor.transpose(axes).reshape([1 << len(block) for block in blocks])
+
+
+def _doubling_table(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """All sums first +/- rows[0] +/- rows[1] ..., in _sign_rows order (+ before -, rows[0] slowest)."""
+    table = first[None, :]
+    for row in rows[::-1]:  # the row added last becomes the most significant sign
+        table = np.concatenate((table + row, table - row))
+    return table
+
+
+def _halved_chunks(coef: np.ndarray):
+    """Later blocks' effective columns for each first-block strategy with tuple 0 at +1, in order.
+
+    Each chunk is indexed (later blocks' tuple, strategy).  A suffix table of
+    at most 2**_CHUNK_LOG2 entries covers the last tuples, built once and
+    stored in that layout, and each chunk is one row of the prefix table (the
+    leading tuples) added to every column of it; with no leading tuples the
+    one chunk is the whole table.
+    """
+    free = coef.shape[0] - 1
+    suffix_log2 = max(_CHUNK_LOG2 - (coef.shape[1].bit_length() - 1), 0)
+    split = max(free - suffix_log2, 0)
+    suffix = np.ascontiguousarray(_doubling_table(np.zeros_like(coef[0]), coef[1 + split :]).T)
+    for row in _doubling_table(coef[0], coef[1 : 1 + split]):
+        yield row[:, None] + suffix
+
+
+def _block_scan(arranged: np.ndarray) -> tuple[int, list[tuple[int, ...]]]:
+    """(best objective, one sign table per block) over the strategies of arranged's 2+ blocks.
+
+    The winning index holds the enumerated blocks' signs, one bit per setting
+    tuple, the first block's leading (+1) bit a zero.
+    """
+    tuples = arranged.shape
+    best = None
+    start = 0
+    for effective in _halved_chunks(arranged.reshape(tuples[0], -1)):
+        for count in tuples[1:-1]:  # each middle block's signs become the least significant
+            rows = effective.reshape(count, -1, effective.shape[1])
+            table = _doubling_table(np.zeros_like(rows[0]), rows)
+            effective = table.transpose(1, 2, 0).reshape(rows.shape[1], -1)
+        # arranged's dtype holds every sum; numpy's default would widen small integers
+        objective = np.abs(effective).sum(axis=0, dtype=arranged.dtype)
+        i = int(np.argmax(objective))
+        if best is None or objective[i] > best:
+            best, best_index, best_effective = int(objective[i]), start + i, effective[:, i].copy()
+        start += effective.shape[1]
+    signs = iter([1 - 2 * (best_index >> bit & 1) for bit in range(sum(tuples[:-1]) - 1, -1, -1)]
+                 + [1 if x >= 0 else -1 for x in best_effective.tolist()])
+    return best, [tuple(itertools.islice(signs, count)) for count in tuples]
+
+
+def _block_sum(arranged: np.ndarray, products) -> int:
+    """The scaled polynomial's integer value under one sign table per block of `arranged`."""
+    total = arranged
+    for signs in reversed(products):  # each product contracts the last axis left
+        total = total @ np.asarray(signs, dtype=np.int64)
+    return int(total)
+
+
+# ---------------------------------------------------------------------------
 # Local model
 # ---------------------------------------------------------------------------
 
@@ -270,24 +342,17 @@ def evaluate_local(p: Polynomial, s: LocalStrategy) -> float:
     """Value of p under one deterministic script, rounded once from the exact sum."""
     _check_same_count("strategy", s.n, "polynomial", p.n)
     tensor, k = _scaled_tensor(p)
-    return float(DyadicCoefficient(_local_sum(tensor, s.settings), k))
-
-
-def _local_sum(tensor: np.ndarray, settings) -> int:
-    """The scaled polynomial's integer value under one script, per party its (a, a')."""
-    total = tensor.reshape(-1)
-    for pair in np.asarray(settings, dtype=np.int64):
-        total = pair @ total.reshape(2, -1)
-    return int(total[0])
+    return float(DyadicCoefficient(_block_sum(tensor, s.settings), k))
 
 
 def local_bound(p: Polynomial, *, cap: int = DEFAULT_LOCAL_CAP) -> BoundResult:
     """Maximum of evaluate_local over all 4**n scripts, with a maximizing witness.
 
-    The full enumeration is carried out as a tensor contraction: contracting
-    the coefficient tensor with every party's four possible (a, a') pairs
-    yields the value of all 4**n scripts at once.  Ties go to the
-    lexicographically smallest script encoding (+1 before -1, party 1 first).
+    The block scan with every party its own block: party 1's script is
+    enumerated with a = +1, the middle parties' four scripts in full, and
+    party n's script matches the signs of its effective coefficients.  Ties
+    go to the lexicographically smallest script encoding (+1 before -1,
+    party 1 first).  A lone party is the last block, after an empty first one.
     """
     if p.n > cap:
         raise ResourceLimitError(
@@ -295,18 +360,14 @@ def local_bound(p: Polynomial, *, cap: int = DEFAULT_LOCAL_CAP) -> BoundResult:
             f"(--local-cap)"
         )
     tensor, k = _scaled_tensor(p)
-    # each step contracts the leading party's setting axis and appends its
-    # four scripts as the last axis
-    flat = tensor.reshape(-1)
-    for _ in range(p.n):
-        flat = (flat.reshape(2, -1).T @ _CHOICES.T).reshape(-1)
-    best = int(np.argmax(flat))
-    digits = [(best >> (2 * (p.n - 1 - j))) & 3 for j in range(p.n)]
-    witness = LocalStrategy(tuple((int(a), int(b)) for a, b in _CHOICES[digits]))
-    resummed = _local_sum(tensor, witness.settings)
-    if resummed != flat[best]:
+    blocks = tuple((j,) for j in range(p.n)) if p.n > 1 else ((), (0,))
+    arranged = _arrange(tensor, blocks)
+    best, products = _block_scan(arranged)
+    witness = LocalStrategy(tuple(products[-p.n :]))
+    resummed = _block_sum(arranged, products)
+    if resummed != best:
         raise NumericalIntegrityError(
-            f"local bound: the enumeration found {flat[best]} but its witness "
+            f"local bound: the enumeration found {best} but its witness "
             f"re-sums to {resummed}"
         )
     return _bound("local", resummed, k, witness)
@@ -326,14 +387,6 @@ def bipartitions(n: int) -> tuple[Bipartition, ...]:
     return tuple(found)
 
 
-def _block_coefficient_matrix(
-    tensor: np.ndarray, a: tuple[int, ...], b: tuple[int, ...]
-) -> np.ndarray:
-    """A coefficient tensor as a matrix indexed by (A's settings, B's settings); a[0] is the lowest bit."""
-    axes = a[::-1] + b[::-1]
-    return np.transpose(tensor, axes).reshape(1 << len(a), 1 << len(b))
-
-
 def _sign_rows(num_tuples: int) -> np.ndarray:
     """The full +/-1 strategy table of a block, one row per strategy.
 
@@ -344,31 +397,6 @@ def _sign_rows(num_tuples: int) -> np.ndarray:
     return 1 - 2 * ((rows[:, None] >> np.arange(num_tuples - 1, -1, -1)) & 1)
 
 
-def _doubling_table(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """All sums first +/- rows[0] +/- rows[1] ..., in _sign_rows order (+ before -, rows[0] slowest)."""
-    table = first[None, :]
-    for row in rows[::-1]:  # the row added last becomes the most significant sign
-        table = np.concatenate((table + row, table - row))
-    return table
-
-
-def _halved_chunks(coef: np.ndarray):
-    """The block-B effective columns of every A strategy with tuple 0 at +1, in order.
-
-    Each chunk is indexed (B tuple, strategy).  A suffix table of at most
-    2**_CHUNK_LOG2 entries covers the last tuples, built once and stored in
-    that layout, and each chunk is one row of the prefix table (the leading
-    tuples) added to every column of it; with no leading tuples the one chunk
-    is the whole table.
-    """
-    free = coef.shape[0] - 1
-    suffix_log2 = max(_CHUNK_LOG2 - (coef.shape[1].bit_length() - 1), 0)
-    split = max(free - suffix_log2, 0)
-    suffix = np.ascontiguousarray(_doubling_table(np.zeros_like(coef[0]), coef[1 + split :]).T)
-    for row in _doubling_table(coef[0], coef[1 : 1 + split]):
-        yield row[:, None] + suffix
-
-
 def hybrid_bound(
     p: Polynomial,
     partition: Bipartition,
@@ -377,14 +405,9 @@ def hybrid_bound(
 ) -> BoundResult:
     """Exact hybrid-model maximum for one bipartition.
 
-    Only the smaller block A is enumerated.  For a fixed A strategy the
-    objective is linear in block B's free product signs, so B's optimum is the
-    sum of absolute effective coefficients and its witness is recovered by
-    sign matching (zeros resolve to +1).  A strategies s and -s give the same
-    objective, so only the 2**(2**|A| - 1) strategies with +1 on A's first
-    setting tuple are scanned.  Ties go to the first maximiser in
-    lexicographic order (+1 before -1, tuple 0 first), which always has +1
-    there; the witness is the one the full scan would return.
+    The block scan with blocks (A, B): only the 2**(2**|A| - 1) strategies of
+    the smaller block A with +1 on its first setting tuple are enumerated, and
+    block B's signs match its effective coefficients.
     """
     _check_same_count("bipartition", partition.n, "polynomial", p.n)
     size_a = len(partition.block_a_parties)
@@ -396,51 +419,28 @@ def hybrid_bound(
     return _hybrid_bound(_scaled_tensor(p), partition, {})
 
 
-def _hybrid_sum(coef: np.ndarray, products_a: tuple[int, ...], products_b: tuple[int, ...]) -> int:
-    """The scaled polynomial's integer value under one pair of block products, on its block matrix."""
-    return int(np.array(products_a) @ coef @ np.array(products_b))
-
-
-def _scan(coef: np.ndarray) -> tuple[int, int, np.ndarray]:
-    """(best objective, its A strategy's index, its block-B effective column) over _halved_chunks."""
-    best = None
-    start = 0
-    for effective in _halved_chunks(coef):
-        # coef's dtype holds every sum; numpy's default would widen small integers
-        objective = np.abs(effective).sum(axis=0, dtype=coef.dtype)
-        i = int(np.argmax(objective))
-        if best is None or objective[i] > best:
-            best, best_index, best_effective = int(objective[i]), start + i, effective[:, i].copy()
-        start += effective.shape[1]
-    return best, best_index, best_effective
-
-
 def _hybrid_bound(
     scaled: tuple[np.ndarray, int], partition: Bipartition, scans: dict
 ) -> BoundResult:
     """hybrid_bound on the polynomial's _scaled_tensor, which hybrid_bound_all builds once.
 
-    scans holds the _scan of every block matrix seen so far, keyed by shape
-    and exact entries, so its witness products are built once per matrix;
-    each split wraps them for its own parties and re-sums them on its own
-    block matrix.
+    scans holds the _block_scan of every block matrix seen so far, keyed by
+    shape and exact entries; each split wraps its products for its own
+    parties and re-sums them on its own block matrix.
     """
     a = partition.block_a_parties
     b = partition.block_b_parties
     tensor, k = scaled
-    coef = _block_coefficient_matrix(tensor, a, b)
+    coef = _arrange(tensor, (a, b))
     if coef.dtype == object:
         key = (coef.shape, tuple(coef.ravel().tolist()))
     else:
         key = (coef.shape, coef.dtype, coef.tobytes())
     if key not in scans:
-        best, best_index, best_effective = _scan(coef)
-        row_a = 1 - 2 * ((best_index >> np.arange(coef.shape[0] - 1, -1, -1)) & 1)
-        col_b = np.where(best_effective >= 0, 1, -1)
-        scans[key] = best, tuple(row_a.tolist()), tuple(col_b.tolist())
-    best, row_a, col_b = scans[key]
-    witness = HybridWitness(partition, BlockStrategy(a, row_a), BlockStrategy(b, col_b))
-    resummed = _hybrid_sum(coef, row_a, col_b)
+        scans[key] = _block_scan(coef)
+    best, products = scans[key]
+    witness = HybridWitness(partition, BlockStrategy(a, products[0]), BlockStrategy(b, products[1]))
+    resummed = _block_sum(coef, products)
     if resummed != best:
         raise NumericalIntegrityError(
             f"hybrid bound {partition.to_text()}: the scan found {best} but its "
@@ -467,7 +467,7 @@ def brute_hybrid_bound(
             f"got {tuples_a} and {tuples_b}"
         )
     tensor, k = _scaled_tensor(p)
-    coef = _block_coefficient_matrix(tensor, a, b)
+    coef = _arrange(tensor, (a, b))
     signs_a = _sign_rows(tuples_a)
     signs_b = _sign_rows(tuples_b)
     table = signs_a @ coef @ signs_b.T
@@ -491,8 +491,8 @@ def evaluate_hybrid(
     if block_b.parties != partition.block_b_parties:
         raise InvalidArgumentError("block B strategy does not match the bipartition")
     tensor, k = _scaled_tensor(p)
-    coef = _block_coefficient_matrix(tensor, block_a.parties, block_b.parties)
-    return float(DyadicCoefficient(_hybrid_sum(coef, block_a.products, block_b.products), k))
+    coef = _arrange(tensor, (block_a.parties, block_b.parties))
+    return float(DyadicCoefficient(_block_sum(coef, (block_a.products, block_b.products)), k))
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,10 @@ VALID = [
     ["--format", "structured", "poly", "svetlichny", "4"],
     ["bounds", "svetlichny", "3"],
     ["--format", "structured", "bounds", "mk", "3", "--partition", "A=3|B=1,2"],
+    # the largest local enumerations under the default cap, and the one-party case
+    ["--format", "structured", "bounds", "mk", "10", "--models", "local"],
+    ["--format", "structured", "bounds", "svetlichny", "10", "--models", "local"],
+    ["bounds", "mk", "1", "--models", "local"],
     [*QMAX, "mk", "3"],
     ["--format", "structured", *QMAX, "svetlichny", "3"],
     ["--seesaw-tol", "1e-6", "--seesaw-max-sweeps", "3", "--spectral-cap", "3", *QMAX, "mk", "3"],
@@ -101,6 +105,8 @@ SINGLE_FAULT = [
     ["--spectral-cap", "2", *QMAX, "mk", "3", "--state", "ghz:3"],
     ["--spectral-cap", "2", *CLASSIFY_STATE, "ghz:3", "--frame", "{tmp}/frame3.txt"],
     ["--spectral-cap", "2", "--restarts", "1", "table1"],
+    # local cap exceeded
+    ["bounds", "mk", "11", "--models", "local"],
     # bad state spec or state file
     [*QMAX, "mk", "3", "--state", "bogus:3"],
     [*QMAX, "mk", "3", "--state", "ghz:x"],

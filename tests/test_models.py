@@ -63,6 +63,17 @@ def random_dyadic(n: int, rng: np.random.Generator) -> Polynomial:
     )
 
 
+def polynomial_in_form(n: int, form: str, rng: np.random.Generator) -> Polynomial:
+    """random_dyadic; a few +/-1 terms (ties everywhere); no terms; or random with an object-dtype tensor."""
+    if form == "ties":
+        masks = rng.choice(1 << n, size=int(rng.integers(1, min(3, 1 << n) + 1)), replace=False)
+        return Polynomial(n, {Term(n, int(m)): DyadicCoefficient(int(rng.choice([-1, 1]))) for m in masks})
+    if form == "zero":
+        return Polynomial(n, {})
+    p = random_dyadic(n, rng)
+    return with_tiny_corner(p) if form == "wide" else p
+
+
 ALL_PLUS_3 = LocalStrategy(((1, 1), (1, 1), (1, 1)))
 
 
@@ -165,11 +176,21 @@ class TestLocalBound:
         assert M.local_bound(Polynomial(2, {})).value == 0.0
 
     def test_witness_is_resummed(self, monkeypatch):
-        real = M._local_sum
-        monkeypatch.setattr(M, "_local_sum", lambda tensor, settings: real(tensor, settings) + 1)
+        real = M._block_sum
+        monkeypatch.setattr(M, "_block_sum", lambda arranged, products: real(arranged, products) + 1)
         with pytest.raises(NumericalIntegrityError) as err:
             M.local_bound(P.mk(3))
         assert str(err.value) == "local bound: the enumeration found 2 but its witness re-sums to 3"
+
+    @pytest.mark.parametrize(
+        "poly, value, settings",
+        [(P.mk(1), DyadicCoefficient(1), [[1, 1]]), (Polynomial(1, {}), DyadicCoefficient(0), [[1, 1]])],
+    )
+    def test_one_party(self, poly, value, settings):
+        """A lone party is the scan's last block: its script is read off by sign matching, zeros to +1."""
+        result = M.local_bound(poly)
+        assert result.value_exact == value
+        assert result.witness.as_dict() == {"type": "local", "settings": settings}
 
     @pytest.mark.parametrize("poly", [P.mk(1), P.mk(5), P.svetlichny(8), Polynomial(3, {})])
     def test_coefficient_tensor_axes_are_party_settings(self, poly):
@@ -178,6 +199,76 @@ class TestLocalBound:
         for term, coef in poly.terms.items():
             assert w[tuple(int(term.primed(j)) for j in range(poly.n))] == float(coef)
         assert np.count_nonzero(w) == len(poly.terms)
+
+
+# Choice index c encodes a party's script (a, a'): c = 0 -> (+1, +1),
+# 1 -> (+1, -1), 2 -> (-1, +1), 3 -> (-1, -1); lower c sorts first.
+CHOICES = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.int64)
+
+
+def reference_local_bound(p: Polynomial) -> tuple[DyadicCoefficient, LocalStrategy]:
+    """Every one of the 4**n scripts' values by one tensor contraction, and the first maximiser (party 1 most significant)."""
+    tensor, k = P._scaled_tensor(p)
+    # each step contracts the leading party's setting axis and appends its
+    # four scripts as the last axis
+    flat = tensor.reshape(-1)
+    for _ in range(p.n):
+        flat = (flat.reshape(2, -1).T @ CHOICES.T).reshape(-1)
+    best = int(np.argmax(flat))
+    digits = [(best >> (2 * (p.n - 1 - j))) & 3 for j in range(p.n)]
+    witness = LocalStrategy(tuple((int(a), int(b)) for a, b in CHOICES[digits]))
+    return DyadicCoefficient(int(flat[best]), k), witness
+
+
+class TestLocalOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.sampled_from(["random", "ties", "zero", "wide"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_full_contraction(self, n, form, seed):
+        """The all-singletons block scan returns the value and the script of the 4**n enumeration."""
+        p = polynomial_in_form(n, form, np.random.default_rng(seed))
+        if form == "wide":
+            assert P._scaled_tensor(p)[0].dtype == object
+        value, witness = reference_local_bound(p)
+        result = M.local_bound(p)
+        assert result.value_exact == value
+        assert result.witness.as_dict() == witness.as_dict()
+
+
+def brute_block_scan(arranged: np.ndarray) -> tuple[int, list[tuple[int, ...]]]:
+    """Every combination of the blocks' full sign tables in lexicographic order, the first block most significant; the first maximiser."""
+    tables = [M._sign_rows(count) for count in arranged.shape]
+    best = None
+    for rows in itertools.product(*tables):
+        total = arranged.astype(object)
+        for signs in rows:
+            total = np.tensordot(signs.astype(object), total, axes=(0, 0))
+        if best is None or total > best:
+            best, products = int(total), [tuple(signs.tolist()) for signs in rows]
+    return best, products
+
+
+class TestBlockScan:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2), min_size=2, max_size=4).filter(lambda w: sum(1 << x for x in w) <= 9),
+        st.sampled_from([2, 15]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_full_enumeration(self, widths, chunk_log2, as_objects, seed):
+        """Any number of blocks, middle ones included, and chunks smaller than the first block's table."""
+        rng = np.random.default_rng(seed)
+        shape = tuple(1 << w for w in widths)
+        arranged = rng.integers(-2, 3, size=shape).astype(object if as_objects else np.int16)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(M, "_CHUNK_LOG2", chunk_log2)
+            best, products = M._block_scan(arranged)
+        assert (best, products) == brute_block_scan(arranged)
+        assert M._block_sum(arranged, products) == best
 
 
 def block_matrix_by_terms(p: Polynomial, a: tuple[int, ...], b: tuple[int, ...]) -> np.ndarray:
@@ -210,7 +301,7 @@ class TestBlockCoefficientMatrix:
             for a in itertools.combinations(range(n), size):
                 b = tuple(j for j in range(n) if j not in a)
                 expected = block_matrix_by_terms(p, a, b) * 2**k
-                assert np.array_equal(M._block_coefficient_matrix(tensor, a, b), expected), (a, b)
+                assert np.array_equal(M._arrange(tensor, (a, b)), expected), (a, b)
 
 
 def ones_with_tiny_corner(n: int, log2: int) -> Polynomial:
@@ -292,10 +383,11 @@ class TestExactBounds:
 
 
 class TestHybridWitnessIdentity:
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(2, 5), st.integers(0, 2**32 - 1))
-    def test_fast_scan_returns_the_oracle_witness(self, n, seed):
-        p = random_dyadic(n, np.random.default_rng(seed))
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.sampled_from(["random", "ties", "wide"]), st.integers(0, 2**32 - 1))
+    def test_fast_scan_returns_the_oracle_witness(self, n, form, seed):
+        """The two-block case of the block scan against the full enumeration of both blocks."""
+        p = polynomial_in_form(n, form, np.random.default_rng(seed))
         for partition in M.bipartitions(n):
             fast = M.hybrid_bound(p, partition)
             brute = M.brute_hybrid_bound(p, partition, max_settings=16)
@@ -504,14 +596,14 @@ class TestSharedScans:
         calls = count_scans(monkeypatch)
         M.hybrid_bound_all(P.mk(4))
         assert len(calls) == 2
-        real = M._hybrid_sum
+        real = M._block_sum
         resums = []
 
-        def tampered(coef, products_a, products_b):
-            resums.append(coef.shape)  # one re-sum per split, in bipartitions order
-            return real(coef, products_a, products_b) + (len(resums) == len(splits))
+        def tampered(arranged, products):
+            resums.append(arranged.shape)  # one re-sum per split, in bipartitions order
+            return real(arranged, products) + (len(resums) == len(splits))
 
-        monkeypatch.setattr(M, "_hybrid_sum", tampered)
+        monkeypatch.setattr(M, "_block_sum", tampered)
         with pytest.raises(NumericalIntegrityError, match=re.escape(reused.to_text())):
             M.hybrid_bound_all(P.mk(4))
 
@@ -566,8 +658,14 @@ def with_abs_sum(shape, total: int, rng: np.random.Generator) -> np.ndarray:
     return magnitudes * rng.choice([-1, 1], size=shape).astype(object)
 
 
+def decoded(index: int, row: np.ndarray, tuples_a: int) -> list[tuple[int, ...]]:
+    """A reference_scan result as the two blocks' sign tables: A's from the index bits, B's by sign matching."""
+    row_a = [1 - 2 * ((index >> bit) & 1) for bit in range(tuples_a - 1, -1, -1)]
+    return [tuple(row_a), tuple(1 if x >= 0 else -1 for x in row.tolist())]
+
+
 class TestColumnScan:
-    """_scan works column-wise in the tensor's own dtype and agrees with the row-major oracle."""
+    """_block_scan works column-wise in the tensor's own dtype and agrees with the row-major oracle."""
 
     @pytest.mark.parametrize("total, dtype", THRESHOLDS)
     def test_scaled_tensor_picks_the_narrowest_exact_dtype(self, total, dtype):
@@ -589,10 +687,20 @@ class TestColumnScan:
         total, dtype = threshold
         exact = with_abs_sum((1 << rows_log2, 1 << cols_log2), total, np.random.default_rng(seed))
         coef = exact if as_objects else exact.astype(dtype)
-        best, index, column = M._scan(coef)
+        real = M._halved_chunks
+        chunks = []
+
+        def spy(arranged):
+            for chunk in real(arranged):
+                chunks.append(chunk.dtype)
+                yield chunk
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(M, "_halved_chunks", spy)
+            best, products = M._block_scan(coef)
         expected, expected_index, row = reference_scan(exact.astype(np.int64))
-        assert (best, index, column.tolist()) == (expected, expected_index, row.tolist())
-        assert column.dtype == coef.dtype
+        assert (best, products) == (expected, decoded(expected_index, row, coef.shape[0]))
+        assert set(chunks) == {coef.dtype}
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 5), st.booleans(), st.integers(0, 2**32 - 1))
@@ -707,6 +815,11 @@ class TestBadInput:
         [
             (lambda: LocalStrategy(()), "a local strategy needs at least one party"),
             (lambda: LocalStrategy(((1, 1, 1),)), "each party needs exactly two outcomes (a, a')"),
+            (lambda: LocalStrategy((5,)), "each party needs a pair (a, a'), got 5"),
+            (
+                lambda: LocalStrategy(((1, 1), 5)),
+                "each party needs a pair (a, a'), got 5",
+            ),
             (lambda: BlockStrategy((), ()), "a block strategy needs at least one party"),
             (
                 lambda: Bipartition(3, True),
