@@ -2,14 +2,16 @@
 
 Every tabulated bound in this module is an exact power of sqrt(2), carried
 symbolically as 2**(p/2) with integer p and rendered as a decimal only at
-output boundaries.  The closed forms are stated once, in _bound_table;
-mk_bound, svetlichny_bounds, depth_thresholds, both verdicts and table1 read
-them from there.  Verdicts use strict inequalities with a 1e-9 guard so a
-value within floating-point noise of a threshold never over-claims.
+output boundaries.  The closed forms are stated once, in _bound_table, which
+builds each table once per process; mk_bound, svetlichny_bounds,
+depth_thresholds, both verdicts and table1 read them from there.  Verdicts
+use strict inequalities with a 1e-9 guard so a value within floating-point
+noise of a threshold never over-claims.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -192,15 +194,18 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None, typed=True)  # typed: 2.0 misses the cached 2 and fails the floor
 def _bound_table(family: str, n: int) -> BoundTable:
     """Every closed-form bound of one family at n parties; the only place one is stated.
 
-    Local 1 and the algebraic limit 2**floor(n/2) for both families.  MK:
-    hybrid 2**floor((n-1)/2) at every block size k, as computed by
-    models.hybrid_bound_all (at every split, for mk and its prime flip) and
-    stored for n <= 9 only; depth m 2**((m-1)/2), stored for m <= 2 and
-    m >= n - 2 only, since for 3 <= m <= n - 3 two clusters of at least 3
-    parties beat it (at n = 6 two 3-party states reach 2*sqrt(2)).
+    Built once per (family, n) in a process and shared: a BoundTable is
+    immutable and holds O(n) entries.  Local 1 and the algebraic limit
+    2**floor(n/2) for both families.  MK: hybrid 2**floor((n-1)/2) at every
+    block size k, as computed by models.hybrid_bound_all (at every split, for
+    mk and its prime flip) and stored for n <= 9 only; depth m 2**((m-1)/2),
+    stored for m <= 2 and m >= n - 2 only, since for 3 <= m <= n - 3 two
+    clusters of at least 3 parties beat it (at n = 6 two 3-party states reach
+    2*sqrt(2)).
     Svetlichny: hybrid 2**floor((n-2)/2) at every k <= n/2, and sqrt(2)
     times that at full depth n.
     """
@@ -222,18 +227,13 @@ def _bound_table(family: str, n: int) -> BoundTable:
     return BoundTable(family=family, n=n, bounds=bounds)
 
 
-def _depth_entries(table: BoundTable) -> dict[int, Root2Power]:
-    """depth_thresholds, read from an MK table already built."""
-    return {
-        model.param + 1: bound
-        for model, bound in table.bounds.items()
-        if model.kind == "quantum-depth" and model.param < table.n
-    }
-
-
 def depth_thresholds(n: int) -> dict[int, Root2Power]:
     """Stored MK bounds at depth m < n, keyed by the depth m + 1 that crossing one certifies."""
-    return _depth_entries(_bound_table("mk", n))
+    return {
+        model.param + 1: bound
+        for model, bound in _bound_table("mk", n).bounds.items()
+        if model.kind == "quantum-depth" and model.param < n
+    }
 
 
 def mk_bound(n: int, model: ModelKind) -> Root2Power:
@@ -289,9 +289,8 @@ def entanglement_depth_verdict(value: float, n: int, *, tol: float = VERDICT_TOL
     strictly crossed (with a `tol` guard) wins.  Depth claims are capped at
     n, so depth_thresholds holds m up to n-1 only.
     """
-    table = _bound_table("mk", n)
-    _check_value(value, table, "MK polynomial value")
-    thresholds = _depth_entries(table)
+    _check_value(value, _bound_table("mk", n), "MK polynomial value")
+    thresholds = depth_thresholds(n)
     crossed = [depth for depth in thresholds if value > float(thresholds[depth]) + tol]
     if not crossed:
         return Verdict(

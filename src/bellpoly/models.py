@@ -29,15 +29,15 @@ dtype: the narrowest of int16, int32 and int64 that holds the coefficients'
 absolute sum, Python ints beyond.  That sum bounds every signed partial sum
 and every objective, and every block arrangement holds the same entries, so
 the scan is exact in the tensor's own dtype.
-Every returned witness is re-summed by one integer contraction, _block_sum,
-through which evaluate_local and evaluate_hybrid also compute a value, so a
-witness evaluates to exactly its bound.
+_checked_bound re-sums every returned witness by one integer contraction,
+_block_sum, which evaluate_local and evaluate_hybrid also reach through
+_block_value, so a witness evaluates to exactly its bound.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -88,6 +88,13 @@ def _require_pm1(value: int, what: str) -> int:
     return value
 
 
+def _as_tuple(value, what: str) -> tuple:
+    """`value` as a tuple; anything but a tuple, a list or an array of one axis or more is refused."""
+    if isinstance(value, (tuple, list)) or isinstance(value, np.ndarray) and value.ndim:
+        return tuple(value)
+    raise InvalidArgumentError(f"{what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LocalStrategy:
     """One deterministic script: per party, the pair of predetermined outcomes (a, a')."""
@@ -95,15 +102,16 @@ class LocalStrategy:
     settings: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not self.settings:
+        settings = _as_tuple(self.settings, "a local strategy needs a sequence of pairs (a, a')")
+        if not settings:
             raise InvalidArgumentError("a local strategy needs at least one party")
-        for pair in self.settings:
-            if not hasattr(pair, "__len__"):
-                raise InvalidArgumentError(f"each party needs a pair (a, a'), got {pair!r}")
+        settings = tuple(_as_tuple(pair, "each party needs a pair (a, a')") for pair in settings)
+        for pair in settings:
             if len(pair) != 2:
                 raise InvalidArgumentError("each party needs exactly two outcomes (a, a')")
             _require_pm1(pair[0], "outcome")
             _require_pm1(pair[1], "outcome")
+        object.__setattr__(self, "settings", settings)
 
     @property
     def n(self) -> int:
@@ -124,6 +132,9 @@ class Bipartition:
 
     n: int
     block_a_mask: int
+    # both blocks' parties in ascending order, derived from the mask once
+    block_a_parties: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    block_b_parties: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_party_count(self.n, 2)
@@ -138,14 +149,9 @@ class Bipartition:
         if size_a > size_b or (size_a == size_b and not mask & 1):
             mask ^= full
         object.__setattr__(self, "block_a_mask", mask)
-
-    @property
-    def block_a_parties(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.n) if (self.block_a_mask >> j) & 1)
-
-    @property
-    def block_b_parties(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.n) if not (self.block_a_mask >> j) & 1)
+        parties = range(self.n)
+        object.__setattr__(self, "block_a_parties", tuple([j for j in parties if mask >> j & 1]))
+        object.__setattr__(self, "block_b_parties", tuple([j for j in parties if not mask >> j & 1]))
 
     def to_text(self) -> str:
         a = ",".join(str(j + 1) for j in self.block_a_parties)
@@ -192,20 +198,23 @@ class BlockStrategy:
     products: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.parties:
+        parties = _as_tuple(self.parties, "block parties must be a sequence")
+        products = _as_tuple(self.products, "block products must be a sequence")
+        if not parties:
             raise InvalidArgumentError("a block strategy needs at least one party")
-        if tuple(sorted(set(self.parties))) != self.parties:
+        if tuple(sorted(set(parties))) != parties:
             raise InvalidArgumentError("block parties must be distinct and ascending")
-        expected = 1 << len(self.parties)
-        if len(self.products) != expected:
+        expected = 1 << len(parties)
+        if len(products) != expected:
             raise InvalidArgumentError(
-                f"block of {len(self.parties)} parties needs {expected} products, "
-                f"got {len(self.products)}"
+                f"block of {len(parties)} parties needs {expected} products, got {len(products)}"
             )
         # count compares by ==, so True, 1.0 and np.int64(1) pass as before
-        if self.products.count(1) + self.products.count(-1) != len(self.products):
-            for v in self.products:
+        if products.count(1) + products.count(-1) != len(products):
+            for v in products:
                 _require_pm1(v, "block product")
+        object.__setattr__(self, "parties", parties)
+        object.__setattr__(self, "products", products)
 
     def product_for(self, prime_mask: int) -> int:
         return self.products[_extract_bits(prime_mask, self.parties)]
@@ -219,9 +228,17 @@ class BlockStrategy:
 
 @dataclass(frozen=True)
 class HybridWitness:
+    """A bipartition and one strategy per block, each on exactly its block's parties."""
+
     partition: Bipartition
     block_a: BlockStrategy
     block_b: BlockStrategy
+
+    def __post_init__(self) -> None:
+        if self.block_a.parties != self.partition.block_a_parties:
+            raise InvalidArgumentError("block A strategy does not match the bipartition")
+        if self.block_b.parties != self.partition.block_b_parties:
+            raise InvalidArgumentError("block B strategy does not match the bipartition")
 
     def as_dict(self) -> dict:
         return {
@@ -333,6 +350,24 @@ def _block_sum(arranged: np.ndarray, products) -> int:
     return int(total)
 
 
+def _block_value(p: Polynomial, blocks: tuple[tuple[int, ...], ...], products) -> float:
+    """p's value under one sign table per block, rounded once from the exact sum."""
+    tensor, k = _scaled_tensor(p)
+    return float(DyadicCoefficient(_block_sum(_arrange(tensor, blocks), products), k))
+
+
+def _checked_bound(arranged: np.ndarray, best: int, products, k: int, witness) -> BoundResult:
+    """The scan's bound best / 2**k, once `witness`'s sign tables re-sum to best on `arranged`."""
+    model = "hybrid" if isinstance(witness, HybridWitness) else "local"
+    resummed = _block_sum(arranged, products)
+    if resummed != best:
+        what = f" {witness.partition.to_text()}" if model == "hybrid" else ""
+        raise NumericalIntegrityError(
+            f"{model} bound{what}: the scan found {best} but its witness re-sums to {resummed}"
+        )
+    return _bound(model, best, k, witness)
+
+
 # ---------------------------------------------------------------------------
 # Local model
 # ---------------------------------------------------------------------------
@@ -341,8 +376,7 @@ def _block_sum(arranged: np.ndarray, products) -> int:
 def evaluate_local(p: Polynomial, s: LocalStrategy) -> float:
     """Value of p under one deterministic script, rounded once from the exact sum."""
     _check_same_count("strategy", s.n, "polynomial", p.n)
-    tensor, k = _scaled_tensor(p)
-    return float(DyadicCoefficient(_block_sum(tensor, s.settings), k))
+    return _block_value(p, tuple((j,) for j in range(p.n)), s.settings)
 
 
 def local_bound(p: Polynomial, *, cap: int = DEFAULT_LOCAL_CAP) -> BoundResult:
@@ -363,14 +397,7 @@ def local_bound(p: Polynomial, *, cap: int = DEFAULT_LOCAL_CAP) -> BoundResult:
     blocks = tuple((j,) for j in range(p.n)) if p.n > 1 else ((), (0,))
     arranged = _arrange(tensor, blocks)
     best, products = _block_scan(arranged)
-    witness = LocalStrategy(tuple(products[-p.n :]))
-    resummed = _block_sum(arranged, products)
-    if resummed != best:
-        raise NumericalIntegrityError(
-            f"local bound: the enumeration found {best} but its witness "
-            f"re-sums to {resummed}"
-        )
-    return _bound("local", resummed, k, witness)
+    return _checked_bound(arranged, best, products, k, LocalStrategy(tuple(products[-p.n :])))
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +452,9 @@ def _hybrid_bound(
     """hybrid_bound on the polynomial's _scaled_tensor, which hybrid_bound_all builds once.
 
     scans holds the _block_scan of every block matrix seen so far, keyed by
-    shape and exact entries; each split wraps its products for its own
-    parties and re-sums them on its own block matrix.
+    shape and exact entries, with its products as int64 arrays; each split
+    wraps the products for its own parties and re-sums the arrays on its own
+    block matrix.
     """
     a = partition.block_a_parties
     b = partition.block_b_parties
@@ -437,16 +465,11 @@ def _hybrid_bound(
     else:
         key = (coef.shape, coef.dtype, coef.tobytes())
     if key not in scans:
-        scans[key] = _block_scan(coef)
-    best, products = scans[key]
+        best, products = _block_scan(coef)
+        scans[key] = best, products, [np.asarray(signs, dtype=np.int64) for signs in products]
+    best, products, signs = scans[key]
     witness = HybridWitness(partition, BlockStrategy(a, products[0]), BlockStrategy(b, products[1]))
-    resummed = _block_sum(coef, products)
-    if resummed != best:
-        raise NumericalIntegrityError(
-            f"hybrid bound {partition.to_text()}: the scan found {best} but its "
-            f"witness re-sums to {resummed}"
-        )
-    return _bound("hybrid", best, k, witness)
+    return _checked_bound(coef, best, signs, k, witness)
 
 
 def brute_hybrid_bound(
@@ -486,13 +509,8 @@ def evaluate_hybrid(
 ) -> float:
     """Value of p under one pair of block strategies, rounded once from the exact sum."""
     _check_same_count("bipartition", partition.n, "polynomial", p.n)
-    if block_a.parties != partition.block_a_parties:
-        raise InvalidArgumentError("block A strategy does not match the bipartition")
-    if block_b.parties != partition.block_b_parties:
-        raise InvalidArgumentError("block B strategy does not match the bipartition")
-    tensor, k = _scaled_tensor(p)
-    coef = _arrange(tensor, (block_a.parties, block_b.parties))
-    return float(DyadicCoefficient(_block_sum(coef, (block_a.products, block_b.products)), k))
+    HybridWitness(partition, block_a, block_b)  # the blocks must match the bipartition
+    return _block_value(p, (block_a.parties, block_b.parties), (block_a.products, block_b.products))
 
 
 @dataclass(frozen=True)

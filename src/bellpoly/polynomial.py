@@ -55,10 +55,25 @@ __all__ = [
 ]
 
 
+def _check_integer(what: str, value: int, least: int) -> None:
+    """The one owner of the integer rule: `what` is an int, not a bool, of at least `least`."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise InvalidArgumentError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
 def _check_party_count(n: int, least: int = 1) -> None:
-    """The one owner of the floor rule: a party count is an int, not a bool, of at least `least`."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < least:
-        raise InvalidArgumentError(f"party count must be an integer >= {least}, got {n!r}")
+    """The floor rule: a party count is an integer of at least `least`."""
+    _check_integer("party count", n, least)
+
+
+def _is_party_index(party: int, n: int) -> bool:
+    """The one statement of the index rule: `party` is an int, not a bool, in 0..n-1."""
+    return isinstance(party, int) and not isinstance(party, bool) and 0 <= party < n
+
+
+def _check_party_index(party: int, n: int) -> None:
+    if not _is_party_index(party, n):
+        raise InvalidArgumentError(f"party index {party!r} out of range for n={n}")
 
 
 def _check_same_count(what: str, count: int, other: str, n: int) -> None:
@@ -83,8 +98,7 @@ class Term:
 
     def primed(self, party: int) -> bool:
         """Whether `party` (0-based) uses its primed setting in this term."""
-        if not 0 <= party < self.n:
-            raise InvalidArgumentError(f"party index {party} out of range for n={self.n}")
+        _check_party_index(party, self.n)
         return bool((self.prime_mask >> party) & 1)
 
     def label(self) -> str:

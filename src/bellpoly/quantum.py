@@ -57,6 +57,7 @@ states at n >= 7 are one vector of that eigenspace, not a canonical one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar, Union
 
@@ -496,8 +497,7 @@ def effective_bloch(
     _check_cap(p, cap)
     polynomial._check_same_count("polynomial", p.n, "frame", f.n)
     polynomial._check_same_count("state", state.n, "polynomial", p.n)
-    if not 0 <= party < p.n:
-        raise InvalidArgumentError(f"party index {party} out of range for n={p.n}")
+    polynomial._check_party_index(party, p.n)
     t = _correlations(_density(state))
     fields = _fields(_coefficient_tensor(p), _frame_vectors(f), t, party)
     return fields[1 if primed else 0]
@@ -571,14 +571,15 @@ def _settings_sweep(
     w: np.ndarray,
     vectors: np.ndarray,
     rho: np.ndarray,
-    history: list[float] | None,
+    history: list[float],
 ) -> tuple[float, np.ndarray]:
     """One exact coordinate-ascent pass over all 2n settings, updating in place.
 
-    Returns the value after the pass and the Bell matrix of the updated
-    frame.  The fields come from rho's correlation tensor, built once; the
-    value is tracked through them, g_0 . v_0 + g_1 . v_1, and checked once
-    against Re Tr(rho B) of a fresh fold, which shares no step with them.
+    Appends the value after each update to `history`; returns the value
+    after the pass and the Bell matrix of the updated frame.  The fields come
+    from rho's correlation tensor, built once; the value is tracked through
+    them, g_0 . v_0 + g_1 . v_1, and checked once against Re Tr(rho B) of a
+    fresh fold, which shares no step with them.
     """
     t = _correlations(rho)
     value = math.nan
@@ -590,8 +591,7 @@ def _settings_sweep(
                 vectors[j, s] = field / norm
             # degenerate coordinate: keep the previous setting
             value = float(g[0] @ vectors[j, 0] + g[1] @ vectors[j, 1])
-            if history is not None:
-                history.append(value)
+            history.append(value)
     matrix = _bell_matrix(w, _ops_from_vectors(vectors))
     fresh = _trace_product(rho, matrix)
     if abs(fresh - value) > _SWEEP_DRIFT_TOL:
@@ -608,33 +608,33 @@ def _ascend(
     state_step: Callable[[np.ndarray], np.ndarray],
     tol: float,
     max_sweeps: int,
-    history: list[float] | None = None,
-) -> tuple[float, np.ndarray]:
+) -> tuple[list[float], np.ndarray]:
     """Rounds of state step and sweep from `vectors`, updated in place.
 
-    Returns the last swept value and the final frame's Bell matrix; `history`
-    gets the start value Re Tr(rho_0 B_0), then 2n entries per sweep.
+    Returns the value history (the start value Re Tr(rho_0 B_0), then 2n
+    entries per sweep, the last one the value reached) and the final Bell matrix.
     """
+    polynomial._check_integer("max_sweeps", max_sweeps, 1)
+    if not isinstance(tol, numbers.Real) or isinstance(tol, bool) or not tol >= 0:
+        raise InvalidArgumentError(f"tol must be a non-negative real, got {tol!r}")
     matrix = _bell_matrix(w, _ops_from_vectors(vectors))
     rho = state_step(matrix)
-    value = _trace_product(rho, matrix)
-    if history is not None:
-        history.append(value)
+    history = [_trace_product(rho, matrix)]
     for sweep in range(max_sweeps):
         if sweep:
             del rho  # hold one state at a time
             rho = state_step(matrix)
-        before = value
+        before = history[-1]
         value, matrix = _settings_sweep(w, vectors, rho, history)
         if value - before < tol:
             break
-    return value, matrix
+    return history, matrix
 
 
 def _best_restart(restarts: int, seed: int, attempt: Callable[[np.random.Generator], _R]) -> _R:
     """The best-valued of `attempt`'s results over `restarts` seeded generators."""
-    if restarts < 1:
-        raise InvalidArgumentError("restarts must be >= 1")
+    polynomial._check_integer("restarts", restarts, 1)
+    polynomial._check_integer("seed", seed, 0)
     children = np.random.SeedSequence(seed).spawn(restarts)
     results = (attempt(np.random.default_rng(child)) for child in children)
     best = next(results)
@@ -677,9 +677,8 @@ def seesaw(
 
     def attempt(rng: np.random.Generator) -> SeesawResult:
         vectors = _raw_random_vectors(p.n, rng)
-        history: list[float] = []
-        value, _ = _ascend(w, vectors, lambda matrix: rho, tol, max_sweeps, history)
-        return SeesawResult(_vectors_to_frame(vectors), value, tuple(history))
+        history, _ = _ascend(w, vectors, lambda matrix: rho, tol, max_sweeps)
+        return SeesawResult(_vectors_to_frame(vectors), history[-1], tuple(history))
 
     return _best_restart(restarts, seed, attempt)
 
@@ -736,8 +735,11 @@ def block_product_max(
     than `tol` over the value before it, or after `max_sweeps` rounds.
     """
     _check_cap(p, cap)
-    a = tuple(sorted(block))
-    if not a or any(not 0 <= j < p.n for j in a) or len(set(a)) != len(a):
+    try:
+        a = tuple(sorted(block))
+    except TypeError:  # not iterable, or entries that do not compare
+        a = ()
+    if not a or not all(polynomial._is_party_index(j, p.n) for j in a) or len(set(a)) != len(a):
         raise InvalidArgumentError(f"invalid block parties {block!r} for n={p.n}")
     b = tuple(j for j in range(p.n) if j not in a)
     if not b:
@@ -760,9 +762,9 @@ def block_product_max(
             psi = np.outer(phi_a, phi_b).reshape((2,) * p.n).transpose(np.argsort(order))
             return _projector(psi.reshape(-1))
 
-        value, _ = _ascend(w, vectors, product_step, tol, max_sweeps)
+        history, _ = _ascend(w, vectors, product_step, tol, max_sweeps)
         blocks = (PureState(len(a), phi_a), PureState(len(b), phi_b))
-        return BlockProductResult(value, _vectors_to_frame(vectors), blocks)
+        return BlockProductResult(history[-1], _vectors_to_frame(vectors), blocks)
 
     return _best_restart(restarts, seed, attempt)
 

@@ -190,6 +190,12 @@ ORDERED = [
     ["--restarts", "2", "qmax", "mk", "3"],
     ["--format", "structured", "classify", "--poly", "mk", "--value", "1.8"],
     ["--format", "structured", "classify", "--poly", "mk", "3", "--value", "1.8"],
+    # the second verdict reads the bound table the first one may have kept
+    ["classify", "--poly", "mk", "6", "--value", "2.9"],
+    ["classify", "--poly", "mk", "6", "--value", "4.5"],
+    # a one-sweep search, then a see-saw at the default sweep limit
+    ["--seesaw-max-sweeps", "1", *QMAX, "mk", "3"],
+    ["--format", "structured", *QMAX, "svetlichny", "3", "--state", "ghz:3"],
 ]
 
 CASES = VALID + SINGLE_FAULT + DOUBLE_FAULT + ORDERED

@@ -303,6 +303,45 @@ class TestNonseparabilityVerdict:
             C.nonseparability_verdict(2.2, 3)
 
 
+FLOOR_AFTER_CACHE = [  # (name, least n, call at n)
+    ("mk_bound", 2, lambda n: C.mk_bound(n, ModelKind.local())),
+    ("depth_verdict", 2, lambda n: C.entanglement_depth_verdict(1.0, n)),
+    ("nonseparability_verdict", 2, lambda n: C.nonseparability_verdict(1.0, n)),
+    ("svetlichny_bounds", 3, C.svetlichny_bounds),
+    ("depth_thresholds", 2, C.depth_thresholds),
+]
+
+
+class TestCachedTables:
+    """_bound_table builds each (family, n) once per process, and the cache skips no check."""
+
+    @pytest.mark.parametrize(
+        ("call", "least", "bad"),
+        [
+            pytest.param(call, least, bad, id=f"{name}-{bad!r}")
+            for name, least, call in FLOOR_AFTER_CACHE
+            for bad in (float(least), True)
+        ],
+    )
+    def test_floor_after_a_cached_int_call(self, call, least, bad):
+        call(least)
+        call(least)
+        with pytest.raises(InvalidArgumentError) as err:
+            call(bad)
+        assert str(err.value) == f"party count must be an integer >= {least}, got {bad!r}"
+
+    def test_second_verdict_builds_no_table(self, monkeypatch):
+        first = (C.entanglement_depth_verdict(1.9, 5), C.nonseparability_verdict(2.9, 5))
+        monkeypatch.setattr(C, "BoundTable", lambda *args, **kwargs: pytest.fail("table built"))
+        second = (C.entanglement_depth_verdict(1.9, 5), C.nonseparability_verdict(2.9, 5))
+        assert [v.as_dict() for v in second] == [v.as_dict() for v in first]
+
+    def test_one_table_per_family_and_n(self):
+        assert C._bound_table("mk", 4) is C._bound_table("mk", 4)
+        assert C.svetlichny_bounds(4) is C._bound_table("svetlichny", 4)
+        assert C._bound_table("mk", 4) is not C._bound_table("svetlichny", 4)
+
+
 class TestBoundTable:
     def test_monotonicity_enforced(self):
         with pytest.raises(InvalidArgumentError):

@@ -180,7 +180,7 @@ class TestLocalBound:
         monkeypatch.setattr(M, "_block_sum", lambda arranged, products: real(arranged, products) + 1)
         with pytest.raises(NumericalIntegrityError) as err:
             M.local_bound(P.mk(3))
-        assert str(err.value) == "local bound: the enumeration found 2 but its witness re-sums to 3"
+        assert str(err.value) == "local bound: the scan found 2 but its witness re-sums to 3"
 
     @pytest.mark.parametrize(
         "poly, value, settings",
@@ -820,7 +820,26 @@ class TestBadInput:
                 lambda: LocalStrategy(((1, 1), 5)),
                 "each party needs a pair (a, a'), got 5",
             ),
+            (lambda: LocalStrategy(5), "a local strategy needs a sequence of pairs (a, a'), got 5"),
+            (
+                lambda: LocalStrategy(((1, 1), {1, -1})),
+                "each party needs a pair (a, a'), got {1, -1}",
+            ),
             (lambda: BlockStrategy((), ()), "a block strategy needs at least one party"),
+            (lambda: BlockStrategy((0,), 5), "block products must be a sequence, got 5"),
+            (lambda: BlockStrategy(5, (1, 1)), "block parties must be a sequence, got 5"),
+            (
+                lambda: M.HybridWitness(
+                    SPLIT, BlockStrategy((1,), (1, 1)), BlockStrategy((0, 2), (1,) * 4)
+                ),
+                "block A strategy does not match the bipartition",
+            ),
+            (
+                lambda: M.HybridWitness(
+                    SPLIT, BlockStrategy((0,), (1, 1)), BlockStrategy((1,), (1, 1))
+                ),
+                "block B strategy does not match the bipartition",
+            ),
             (
                 lambda: Bipartition(3, True),
                 "block A must be a nonempty proper subset, got mask True",
@@ -843,6 +862,22 @@ class TestBadInput:
         with pytest.raises(InvalidArgumentError) as err:
             make()
         assert type(err.value) is InvalidArgumentError and str(err.value) == message
+
+    def test_sequences_are_stored_as_tuples(self):
+        """Lists are kept as tuples, so every strategy hashes and compares by value."""
+        local = LocalStrategy(([1, 1], [-1, 1]))
+        assert local.settings == ((1, 1), (-1, 1)) and hash(local) == hash(LocalStrategy(((1, 1), (-1, 1))))
+        block = BlockStrategy([0, 2], [1, -1, 1, -1])
+        assert (block.parties, block.products) == ((0, 2), (1, -1, 1, -1))
+        assert hash(block) == hash(BlockStrategy((0, 2), (1, -1, 1, -1)))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_bipartition_parties_follow_the_mask(self, n):
+        for bp in M.bipartitions(n):
+            a = tuple(j for j in range(n) if bp.block_a_mask >> j & 1)
+            assert (bp.block_a_parties, bp.block_b_parties) == (a, tuple(sorted(set(range(n)) - set(a))))
+            assert repr(bp) == f"Bipartition(n={n}, block_a_mask={bp.block_a_mask})"
+            assert bp == Bipartition(n, bp.block_a_mask ^ ((1 << n) - 1))
 
 
 class TestSerialization:

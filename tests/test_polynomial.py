@@ -701,6 +701,15 @@ class TestTermView:
                 lambda: Term(2, True), BAD, "prime_mask must lie in [0, 2^2), got True", id="bool-mask-term"
             ),
             (lambda: Term(2, 1).primed(2), BAD, "party index 2 out of range for n=2"),
+            *(
+                pytest.param(
+                    lambda party=party: Term(3, 1).primed(party),
+                    BAD,
+                    f"party index {party!r} out of range for n=3",
+                    id=f"primed-{party!r}",
+                )
+                for party in (True, 1.0, -1)
+            ),
             (lambda: DyadicCoefficient(1.5), BAD, "dyadic parts must be integers"),
             (lambda: DyadicCoefficient(1, 0.0), BAD, "dyadic parts must be integers"),
             (lambda: DyadicCoefficient(True), BAD, "dyadic parts must be integers"),

@@ -213,6 +213,16 @@ BAD = InvalidArgumentError
 PARTY_COUNT = "party count must be an integer >= 1, got {!r}"
 
 
+# each search on mk(3), one restart from seed 1 unless `settings` says otherwise
+SEARCHES = {
+    "quantum_max": lambda settings: Q.quantum_max(P.mk(3), **{"restarts": 1, "seed": 1, **settings}),
+    "seesaw": lambda settings: Q.seesaw(P.mk(3), Q.ghz(3), **{"restarts": 1, "seed": 1, **settings}),
+    "block_product_max": lambda settings: Q.block_product_max(
+        P.mk(3), (0,), **{"restarts": 1, "seed": 1, **settings}
+    ),
+}
+
+
 class TestBadInput:
     """Every check that public quantum input reaches: error class and message."""
 
@@ -273,12 +283,42 @@ class TestBadInput:
             ),
             *(
                 pytest.param(
+                    lambda party=party: Q.effective_bloch(P.mk(2), chsh_frame(), Q.ghz(2), party, False),
+                    BAD,
+                    f"party index {party!r} out of range for n=2",
+                    id=f"party-{party!r}",
+                )
+                for party in (True, 1.0)
+            ),
+            *(
+                pytest.param(
                     lambda block=block: Q.block_product_max(P.mk(3), block, restarts=1, seed=0),
                     BAD,
                     f"invalid block parties {block!r} for n=3",
                     id=f"block-{block!r}",
                 )
-                for block in ((0, 3), (-1,), (0, 0), ())
+                for block in ((0, 3), (-1,), (0, 0), (), [0, 0.5], [True], 5)
+            ),
+            *(
+                pytest.param(
+                    lambda search=search, settings=settings: search(settings),
+                    BAD,
+                    message,
+                    id=f"{name}-{settings}",
+                )
+                for name, search in SEARCHES.items()
+                for settings, message in (
+                    ({"restarts": 0}, "restarts must be an integer >= 1, got 0"),
+                    ({"restarts": 2.5}, "restarts must be an integer >= 1, got 2.5"),
+                    ({"restarts": True}, "restarts must be an integer >= 1, got True"),
+                    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+                    ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+                    ({"max_sweeps": 0}, "max_sweeps must be an integer >= 1, got 0"),
+                    ({"max_sweeps": 2.0}, "max_sweeps must be an integer >= 1, got 2.0"),
+                    ({"tol": math.nan}, "tol must be a non-negative real, got nan"),
+                    ({"tol": -1}, "tol must be a non-negative real, got -1"),
+                    ({"tol": "1e-3"}, "tol must be a non-negative real, got '1e-3'"),
+                )
             ),
         ],
     )
@@ -493,7 +533,7 @@ class TestCorrelations:
         w = P._coefficient_tensor(P.mk(3))
         vectors = Q._raw_random_vectors(3, np.random.default_rng(7))
         with pytest.raises(NumericalIntegrityError, match=message):
-            Q._settings_sweep(w, vectors, rho, None)
+            Q._settings_sweep(w, vectors, rho, [])
 
     @pytest.mark.parametrize(
         "kind, n, mixed",
@@ -513,7 +553,7 @@ class TestCorrelations:
             return g
 
         monkeypatch.setattr(Q, "_fields", checked)
-        Q._settings_sweep(w, vectors, rho, None)
+        Q._settings_sweep(w, vectors, rho, [])
         assert len(errors) == n and max(errors) < 1e-12
 
 
