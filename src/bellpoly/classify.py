@@ -289,6 +289,7 @@ def entanglement_depth_verdict(value: float, n: int, *, tol: float = VERDICT_TOL
     strictly crossed (with a `tol` guard) wins.  Depth claims are capped at
     n, so depth_thresholds holds m up to n-1 only.
     """
+    polynomial._check_tolerance(tol)
     _check_value(value, _bound_table("mk", n), "MK polynomial value")
     thresholds = depth_thresholds(n)
     crossed = [depth for depth in thresholds if value > float(thresholds[depth]) + tol]
@@ -312,6 +313,7 @@ def entanglement_depth_verdict(value: float, n: int, *, tol: float = VERDICT_TOL
 
 def nonseparability_verdict(value: float, n: int, *, tol: float = VERDICT_TOL) -> Verdict:
     """Genuine n-party non-separability from a Svetlichny polynomial value."""
+    polynomial._check_tolerance(tol)
     table = _bound_table("svetlichny", n)
     _check_value(value, table, "Svetlichny polynomial value")
     threshold = table.bounds[ModelKind.hybrid_separable(1)]

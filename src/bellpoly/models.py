@@ -51,6 +51,7 @@ from .errors import (
 from .polynomial import (
     DyadicCoefficient,
     Polynomial,
+    _check_integer,
     _check_party_count,
     _check_same_count,
     _scaled_tensor,
@@ -388,6 +389,7 @@ def local_bound(p: Polynomial, *, cap: int = DEFAULT_LOCAL_CAP) -> BoundResult:
     go to the lexicographically smallest script encoding (+1 before -1,
     party 1 first).  A lone party is the last block, after an empty first one.
     """
+    _check_integer("cap", cap, 1)
     if p.n > cap:
         raise ResourceLimitError(
             f"local enumeration over 4^{p.n} scripts exceeds the cap n <= {cap} "
@@ -436,6 +438,7 @@ def hybrid_bound(
     the smaller block A with +1 on its first setting tuple are enumerated, and
     block B's signs match its effective coefficients.
     """
+    _check_integer("max_block_size", max_block_size, 1)
     _check_same_count("bipartition", partition.n, "polynomial", p.n)
     size_a = len(partition.block_a_parties)
     if size_a > max_block_size:
@@ -537,6 +540,7 @@ def hybrid_bound_all(
     block size: 4 scans for the 127 or 255 splits at n = 8, 9.  Each split
     re-sums the shared witness on its own block matrix.
     """
+    _check_integer("max_block_size", max_block_size, 1)
     if p.n // 2 > max_block_size:  # fail before computing any partition
         raise ResourceLimitError(
             f"a balanced split of {p.n} parties has a block of {p.n // 2}; "

@@ -22,6 +22,7 @@ signed sum of the coefficients overflows.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -59,6 +60,12 @@ def _check_integer(what: str, value: int, least: int) -> None:
     """The one owner of the integer rule: `what` is an int, not a bool, of at least `least`."""
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
         raise InvalidArgumentError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
+def _check_tolerance(tol: float) -> None:
+    """The one owner of the tolerance rule: `tol` is a real, not a bool, of at least 0 (not nan)."""
+    if not isinstance(tol, numbers.Real) or isinstance(tol, bool) or not tol >= 0:
+        raise InvalidArgumentError(f"tol must be a non-negative real, got {tol!r}")
 
 
 def _check_party_count(n: int, least: int = 1) -> None:

@@ -9,9 +9,13 @@ quantum side of every bound in this package.
 Bell matrices come from one fold: the polynomial's coefficient tensor (one
 axis per party, indexed by that party's setting) is contracted one party at a
 time with the party's stacked pair of observables, and no intermediate is
-larger than the Bell matrix itself.  Effective fields need no operator.  Every
-term holds exactly one setting of each party, so an expectation depends on the
-state only through its full correlation tensor
+larger than the Bell matrix itself.  Each step's einsum writes the new party's
+axes outermost, which gives its inner loop the longest axis, and a transpose
+then puts them in place: the layout decides where each sum is stored, not the
+order of its terms, so each entry is bit for bit what an einsum writing in
+place gives.  Effective fields need no operator.  Every term holds exactly one
+setting of each party, so an expectation depends on the state only through its
+full correlation tensor
 T[a_1..a_n] = Tr(rho sigma_a_1 (x) ... (x) sigma_a_n), 3**n reals (Werner and
 Wolf, PRA 64, 032112, 2001).  A sweep builds T once from its state, and a
 party's two fields contract T with the other parties' Bloch vectors and then
@@ -56,8 +60,8 @@ states at n >= 7 are one vector of that eigenspace, not a canonical one.
 
 from __future__ import annotations
 
+import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar, Union
 
@@ -111,6 +115,7 @@ _SWEEP_DRIFT_TOL = 1e-9
 _TIE_MARGIN = 1e-12
 _EIGEN_RESIDUAL_TOL = 1e-9
 _RITZ_TOL = 1e-13
+_LANCZOS_ROWS = 32  # initial basis rows; MK and Svetlichny at n = 7..9 take 20 to 36 steps
 _DENSE_BELOW = 128  # measured crossover: eigh wins at dimension 64, Lanczos at 128
 _DENSE_NORM_BELOW = 256  # measured: eigvalsh wins at dimension 128, two Lanczos runs at 256
 _PIVOT_TIE = 1e-9
@@ -297,12 +302,23 @@ def _bell_matrix(w: np.ndarray, ops: np.ndarray) -> np.ndarray:
     party at a time with that party's stacked observables.  Folding k parties
     holds 2**(n + k) entries, so no intermediate exceeds the 4**n of the Bell
     matrix itself.
+
+    A step maps t[s, r, a, c] (r the unfolded parties' settings, a and c the
+    folded parties' row and column) and the observables o[s, b, d] to
+    sum_s t[s, r, a, c] o[s, b, d] at (r, a, b, c, d).  Written in that order,
+    einsum's inner loop would run over d, two entries long; einsum writes it
+    as (b, d, r, a, c), with c innermost, and the transpose copies it into
+    place.  einsum adds the two products in the order of s whatever the
+    output layout, so the entries are bit for bit those of the direct order.
+    A BLAS product, another party order or a broadcast multiply-add is faster
+    still but rounds differently and moves entries by about 1e-16.
     """
     t = w.reshape(-1, 1, 1)
     for j in range(w.ndim):
         dim = t.shape[-1]
         t = t.reshape(2, -1, dim, dim)
-        t = np.einsum("srac,sbd->rabcd", t, ops[j]).reshape(-1, 2 * dim, 2 * dim)
+        t = np.einsum("srac,sbd->bdrac", t, ops[j]).transpose(2, 3, 0, 4, 1)
+        t = t.reshape(-1, 2 * dim, 2 * dim)
     return t.reshape(t.shape[-2:])
 
 
@@ -359,11 +375,14 @@ def expectation(op: BellOperator, state: State) -> float:
     return _trace_product(_density(state), op.entries)
 
 
+@functools.cache
 def _lanczos_start(dim: int) -> np.ndarray:
     """The fixed, generic unit start vector for dimension `dim`."""
     rng = np.random.default_rng(dim)
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
+    z /= np.linalg.norm(z)
+    z.flags.writeable = False
+    return z
 
 
 def _lanczos_top(matrix: np.ndarray) -> tuple[float, np.ndarray]:
@@ -374,26 +393,35 @@ def _lanczos_top(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     most 1e-13 max(1, |theta|), or when the Krylov space is exhausted.  The
     k x k tridiagonal eigenproblem costs more than a step from k = 16 on, so
     from there the estimate is taken every fourth step, and whenever beta_k
-    alone meets the bound.
+    alone meets the bound.  The basis, its conjugate and the tridiagonal
+    matrix live in preallocated rows that double when full; every product
+    reads the first k rows, the operands a stacked basis would give.
     """
     dim = matrix.shape[0]
     q = _lanczos_start(dim)
-    basis = np.empty((0, dim), dtype=complex)
-    alphas: list[float] = []
-    betas: list[float] = []
+    rows = min(dim, _LANCZOS_ROWS)
+    basis, conj = np.empty((rows, dim), dtype=complex), np.empty((rows, dim), dtype=complex)
+    tri = np.zeros((rows, rows))
+    k = 0
     while True:
-        basis = np.vstack([basis, q])
+        basis[k], conj[k] = q, q.conj()
         v = matrix @ q
-        alphas.append(float(np.vdot(q, v).real))
+        tri[k, k] = np.vdot(q, v).real
+        k += 1
         for _ in range(2):  # Gram-Schmidt against the whole basis, twice
-            v -= basis.T @ (basis.conj() @ v)
-        beta, k = float(np.linalg.norm(v)), len(basis)
+            v -= basis[:k].T @ (conj[:k] @ v)
+        beta = float(np.linalg.norm(v))
         if k < 16 or k % 4 == 0 or k == dim or beta <= _RITZ_TOL:
-            thetas, ys = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+            thetas, ys = np.linalg.eigh(tri[:k, :k])
             theta, y = float(thetas[-1]), ys[:, -1]
             if k == dim or beta * abs(y[-1]) <= _RITZ_TOL * max(1.0, abs(theta)):
-                return theta, y @ basis
-        betas.append(beta)
+                return theta, y @ basis[:k]
+        if k == rows:  # full: double the rows, keeping every entry written so far
+            rows = min(dim, 2 * rows)
+            basis = np.concatenate([basis, np.empty((rows - k, dim), dtype=complex)])
+            conj = np.concatenate([conj, np.empty((rows - k, dim), dtype=complex)])
+            tri = np.pad(tri, (0, rows - k))
+        tri[k - 1, k] = tri[k, k - 1] = beta
         q = v / beta
 
 
@@ -615,15 +643,15 @@ def _ascend(
     entries per sweep, the last one the value reached) and the final Bell matrix.
     """
     polynomial._check_integer("max_sweeps", max_sweeps, 1)
-    if not isinstance(tol, numbers.Real) or isinstance(tol, bool) or not tol >= 0:
-        raise InvalidArgumentError(f"tol must be a non-negative real, got {tol!r}")
+    polynomial._check_tolerance(tol)
     matrix = _bell_matrix(w, _ops_from_vectors(vectors))
     rho = state_step(matrix)
     history = [_trace_product(rho, matrix)]
     for sweep in range(max_sweeps):
         if sweep:
-            del rho  # hold one state at a time
+            del rho  # hold one state and one operator at a time
             rho = state_step(matrix)
+        del matrix
         before = history[-1]
         value, matrix = _settings_sweep(w, vectors, rho, history)
         if value - before < tol:
@@ -645,6 +673,7 @@ def _best_restart(restarts: int, seed: int, attempt: Callable[[np.random.Generat
 
 
 def _check_cap(p: Polynomial, cap: int) -> None:
+    polynomial._check_integer("cap", cap, 1)
     if p.n > cap:
         raise ResourceLimitError(
             f"spectral computation for n={p.n} exceeds the cap n <= {cap} "

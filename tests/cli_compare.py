@@ -97,6 +97,10 @@ VALID = [
     ["classify", "--poly", "svetlichny-minus", "5", "--value", "3.0"],
     ["--format", "structured", "--restarts", "1", "table1"],
     ["--show-config"],
+    # from n = 7 every top eigenpair comes from Lanczos
+    ["--restarts", "1", "qmax", "mk", "7"],
+    ["--format", "structured", "--restarts", "1", "qmax", "mk", "8"],
+    ["--format", "structured", "--restarts", "1", "qmax", "svetlichny", "8", "--state", "ghz:8"],
 ]
 
 SINGLE_FAULT = [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import types
 
 import pytest
@@ -394,6 +395,15 @@ class TestBoundTable:
         (
             lambda: C.mk_bound(3, ModelKind("quantum-depth", True)),
             "quantum-depth needs a positive integer parameter",
+        ),
+        *(
+            pytest.param(
+                lambda verdict=verdict, tol=tol: verdict(0.5, 3, tol=tol),
+                f"tol must be a non-negative real, got {tol!r}",
+                id=f"{verdict.__name__}-{tol!r}",
+            )
+            for verdict in (C.entanglement_depth_verdict, C.nonseparability_verdict)
+            for tol in (-5, math.nan, True, "1e-9")
         ),
     ],
 )

@@ -856,6 +856,23 @@ class TestBadInput:
                 ),
                 "block B strategy does not match the bipartition",
             ),
+            *(
+                pytest.param(make, f"{what} must be an integer >= 1, got {cap!r}", id=f"{name}-{cap!r}")
+                for cap in (True, 2.5, 0)
+                for name, what, make in (
+                    ("local", "cap", lambda cap=cap: M.local_bound(P.mk(3), cap=cap)),
+                    (
+                        "hybrid",
+                        "max_block_size",
+                        lambda cap=cap: M.hybrid_bound(P.mk(3), SPLIT, max_block_size=cap),
+                    ),
+                    (
+                        "hybrid-all",
+                        "max_block_size",
+                        lambda cap=cap: M.hybrid_bound_all(P.mk(3), max_block_size=cap),
+                    ),
+                )
+            ),
         ],
     )
     def test_bad_input_errors(self, make, message):

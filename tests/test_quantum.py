@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bellpoly import models as M
 from bellpoly import polynomial as P
@@ -318,6 +318,24 @@ class TestBadInput:
                     ({"tol": math.nan}, "tol must be a non-negative real, got nan"),
                     ({"tol": -1}, "tol must be a non-negative real, got -1"),
                     ({"tol": "1e-3"}, "tol must be a non-negative real, got '1e-3'"),
+                    ({"cap": True}, "cap must be an integer >= 1, got True"),
+                    ({"cap": 2.5}, "cap must be an integer >= 1, got 2.5"),
+                    ({"cap": 0}, "cap must be an integer >= 1, got 0"),
+                )
+            ),
+            *(
+                pytest.param(
+                    make, BAD, f"cap must be an integer >= 1, got {cap!r}", id=f"{name}-cap-{cap!r}"
+                )
+                for cap in (True, 3.0)
+                for name, make in (
+                    ("operator", lambda cap=cap: Q.bell_operator(P.mk(2), chsh_frame(), cap=cap)),
+                    (
+                        "bloch",
+                        lambda cap=cap: Q.effective_bloch(
+                            P.mk(2), chsh_frame(), Q.ghz(2), 0, False, cap=cap
+                        ),
+                    ),
                 )
             ),
         ],
@@ -398,6 +416,16 @@ class TestMaxEigenvalue:
         assert v1.amplitudes[pivot].real > 0
 
 
+def degenerate_top(dim: int, multiplicity: int, gap: float, seed: int) -> np.ndarray:
+    """A random Hermitian matrix whose top eigenvalue 1 has `multiplicity`, `gap` above the next."""
+    rng = np.random.default_rng(seed)
+    unitary, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    below = rng.uniform(-1.0, 1.0 - gap, dim - multiplicity - 1)
+    eigs = np.concatenate([np.ones(multiplicity), [1.0 - gap], below])
+    matrix = (unitary * eigs) @ unitary.conj().T
+    return (matrix + matrix.conj().T) / 2
+
+
 def assert_top_pair_matches_eigh(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     """_top_eigenpair against dense eigh: value, residual, pivot phase, repeatability."""
     value, vec = Q._top_eigenpair(matrix)
@@ -411,6 +439,39 @@ def assert_top_pair_matches_eigh(matrix: np.ndarray) -> tuple[float, np.ndarray]
     again, vec_again = Q._top_eigenpair(matrix)
     assert again == value and vec_again.tobytes() == vec.tobytes()
     return value, vec
+
+
+def stacked_lanczos(matrix: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """The byte reference for `Q._lanczos_top`: the basis restacked and conjugated every step.
+
+    Also returns the number of basis vectors the run took.
+    """
+    dim = matrix.shape[0]
+    q = Q._lanczos_start(dim)
+    basis = np.empty((0, dim), dtype=complex)
+    alphas, betas = [], []
+    while True:
+        basis = np.vstack([basis, q])
+        v = matrix @ q
+        alphas.append(float(np.vdot(q, v).real))
+        for _ in range(2):
+            v -= basis.T @ (basis.conj() @ v)
+        beta, k = float(np.linalg.norm(v)), len(basis)
+        if k < 16 or k % 4 == 0 or k == dim or beta <= Q._RITZ_TOL:
+            thetas, ys = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+            theta, y = float(thetas[-1]), ys[:, -1]
+            if k == dim or beta * abs(y[-1]) <= Q._RITZ_TOL * max(1.0, abs(theta)):
+                return theta, y @ basis, k
+        betas.append(beta)
+        q = v / beta
+
+
+def assert_lanczos_matches_stacked(matrix: np.ndarray) -> int:
+    """`Q._lanczos_top` against `stacked_lanczos`, to the byte; returns the step count."""
+    value, vec = Q._lanczos_top(matrix)
+    want, want_vec, steps = stacked_lanczos(matrix)
+    assert value == want and vec.tobytes() == want_vec.tobytes()
+    return steps
 
 
 class TestLanczos:
@@ -427,6 +488,7 @@ class TestLanczos:
         p = random_dyadic_polynomial(n, rng) if kind == "random" else getattr(P, kind)(n)
         op = Q.bell_operator(p, Q.random_frame(n, rng))
         value, vec = assert_top_pair_matches_eigh(op.entries)
+        assert_lanczos_matches_stacked(op.entries)
         top, state = Q.max_eigenvalue(op)
         assert top == value and state.amplitudes.tobytes() == vec.tobytes()
 
@@ -438,12 +500,9 @@ class TestLanczos:
         st.integers(0, 2**32 - 1),
     )
     def test_degenerate_top_with_a_small_gap(self, dim, multiplicity, gap, seed):
-        rng = np.random.default_rng(seed)
-        unitary, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-        below = rng.uniform(-1.0, 1.0 - gap, dim - multiplicity - 1)
-        eigs = np.concatenate([np.ones(multiplicity), [1.0 - gap], below])
-        matrix = (unitary * eigs) @ unitary.conj().T
-        value, _ = assert_top_pair_matches_eigh((matrix + matrix.conj().T) / 2)
+        matrix = degenerate_top(dim, multiplicity, gap, seed)
+        value, _ = assert_top_pair_matches_eigh(matrix)
+        assert_lanczos_matches_stacked(matrix)
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_operator_stops_at_the_start_vector(self):
@@ -621,6 +680,57 @@ class TestSweepHelperForms:
         assert np.array(history).tobytes() == np.array(want_history).tobytes()
         assert value == want_history[-1]
         assert matrix.tobytes() == Q._bell_matrix(w, tensordot_ops(want_vectors)).tobytes()
+
+
+def rabcd_fold(w: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """The byte reference for `Q._bell_matrix`: each fold step written in (r, a, b, c, d) order."""
+    t = w.reshape(-1, 1, 1)
+    for j in range(w.ndim):
+        dim = t.shape[-1]
+        t = t.reshape(2, -1, dim, dim)
+        t = np.einsum("srac,sbd->rabcd", t, ops[j]).reshape(-1, 2 * dim, 2 * dim)
+    return t.reshape(t.shape[-2:])
+
+
+AXES = np.concatenate([np.eye(3), -np.eye(3)])
+
+
+class TestKernelForms:
+    """The fold, Lanczos past its first rows and the Lanczos start give their references' bytes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["random", "mk", "svetlichny"]),
+        st.integers(1, 9),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_fold(self, kind, n, on_axes, seed):
+        """Zero coefficients and axis-aligned settings would show any signed-zero drift."""
+        assume(kind != "svetlichny" or n >= 2)
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(2,) * n) if kind == "random" else P._coefficient_tensor(getattr(P, kind)(n))
+        if on_axes:
+            vectors = AXES[rng.integers(0, 6, size=(n, 2))]
+        else:
+            vectors = Q._raw_random_vectors(n, rng)
+        ops = Q._ops_from_vectors(vectors)
+        assert Q._bell_matrix(w, ops).tobytes() == rabcd_fold(w, ops).tobytes()
+
+    @pytest.mark.parametrize("dim, seed", [(128, 1), (256, 2)])
+    def test_lanczos_past_the_initial_rows(self, dim, seed):
+        """A degenerate top with a small gap takes more steps than the preallocated rows."""
+        assert assert_lanczos_matches_stacked(degenerate_top(dim, 3, 1e-3, seed)) > Q._LANCZOS_ROWS
+
+    @pytest.mark.parametrize("dim", [128, 256])
+    def test_start_vector_is_built_once_and_read_only(self, dim):
+        start = Q._lanczos_start(dim)
+        assert Q._lanczos_start(dim) is start and not start.flags.writeable
+        with pytest.raises(ValueError):
+            start[0] = 0.0
+        rng = np.random.default_rng(dim)
+        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        assert start.tobytes() == (z / np.linalg.norm(z)).tobytes()
 
 
 class TestEffectiveBloch:
