@@ -416,29 +416,30 @@ def table1(
     restarts: int = quantum.DEFAULT_RESTARTS,
     seed: int,
     tolerance: float = QUANTUM_CHECK_TOL,
-    local_cap: int = models.DEFAULT_LOCAL_CAP,
     spectral_cap: int = quantum.DEFAULT_SPECTRAL_CAP,
     seesaw_tol: float = quantum.DEFAULT_SEESAW_TOL,
     max_sweeps: int = quantum.DEFAULT_MAX_SWEEPS,
 ) -> Table1Report:
     """Recompute the three-party reference table and check every cell.
 
-    Classical cells come from exhaustive enumeration and must match the stored
-    closed forms bit-exactly; quantum cells come from see-saw ascent (full or
-    block-product constrained) and must match within `tolerance`.  The
-    product row checks the recomputed M3 x S3 against the stored M3 x S3.
-    All 15 cells are checked in one pass, row by row, and the first mismatch
-    raises NumericalIntegrityError naming its cell; this is the package's
-    flagship self-test.  `local_cap` is the local enumeration's `cap`;
-    `spectral_cap` and `seesaw_tol` are the searches' `cap` and `tol`.  No
-    hybrid block cap applies: every three-party split has a one-party block.
+    Classical cells come from the exact model bounds (the local bound from
+    the Walsh-Hadamard transform, the hybrid bound from the two-block scan)
+    and must match the stored closed forms bit-exactly; quantum cells come
+    from see-saw ascent (full or block-product constrained) and must match
+    within `tolerance`.  The product row checks the recomputed M3 x S3
+    against the stored M3 x S3.  All 15 cells are checked in one pass, row by
+    row, and the first mismatch raises NumericalIntegrityError naming its
+    cell; this is the package's flagship self-test.  `spectral_cap` and
+    `seesaw_tol` are the searches' `cap` and `tol`.  No classical bound takes
+    a cap: the local bound has none, and every three-party split has a
+    one-party block.
     """
     search = dict(restarts=restarts, cap=spectral_cap, tol=seesaw_tol, max_sweeps=max_sweeps)
     recomputed: dict[str, dict[str, float]] = {}
     rows = (("M3", polynomial.mk(3)), ("S3", polynomial.svetlichny(3)))
     for offset, (row, poly) in enumerate(rows):
         recomputed[row] = {
-            "local": models.local_bound(poly, cap=local_cap).value,
+            "local": models.local_bound(poly).value,
             "quantum_depth_2": max(
                 quantum.block_product_max(
                     poly, partition.block_a_parties, seed=seed + 2 + 3 * offset + shift, **search

@@ -77,9 +77,6 @@ class RunConfig:
         "text", "output format (structured = one JSON document)",
         flag="--format", choices=_FORMATS,
     )
-    local_cap: int = _setting(
-        models.DEFAULT_LOCAL_CAP, "max n for the 4^n local-script enumeration"
-    )
     hybrid_block_cap: int = _setting(
         models.DEFAULT_HYBRID_BLOCK_CAP, "max size of the enumerated hybrid block"
     )
@@ -96,8 +93,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise InvalidArgumentError(f"seed must be non-negative, got {self.seed}")
-        for name in ("restarts", "local_cap", "hybrid_block_cap", "spectral_cap",
-                     "seesaw_max_sweeps"):
+        for name in ("restarts", "hybrid_block_cap", "spectral_cap", "seesaw_max_sweeps"):
             if getattr(self, name) < 1:
                 raise InvalidArgumentError(f"{name} must be positive")
         for name in ("seesaw_tol", "verify_tol", "verdict_tol"):
@@ -155,7 +151,7 @@ def cmd_bounds(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str]:
     doc: dict = {"command": "bounds", "kind": args.kind, "n": args.n, "results": {}}
     lines = [f"polynomial: {args.kind} n={args.n}"]
     if "local" in wanted:
-        result = models.local_bound(poly, cap=config.local_cap)
+        result = models.local_bound(poly)
         doc["results"]["local"] = result.as_dict()
         lines.append(f"local bound: {result.value:g} ({result.value_exact})")
         lines.append(f"  witness: {_local_witness_text(result.witness)}")
@@ -309,7 +305,6 @@ def cmd_table1(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str]:
         restarts=config.restarts,
         seed=config.seed,
         tolerance=config.verify_tol,
-        local_cap=config.local_cap,
         spectral_cap=config.spectral_cap,
         seesaw_tol=config.seesaw_tol,
         max_sweeps=config.seesaw_max_sweeps,

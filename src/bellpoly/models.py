@@ -1,42 +1,37 @@
 """Exact maxima of correlation polynomials under deterministic hidden-variable models.
 
-Two model families are searched:
-
-* local scripts, where every party fixes both of its outcomes in advance
-  (4**n scripts, all searched);
-* hybrid two-block scripts, where the parties split into blocks A and B with
-  arbitrary correlations inside a block and none across.  Only the product of
-  outcomes inside a block ever enters a correlation coefficient, so a block
-  is fully described by one sign per joint setting choice of its members.
-
-Both are products over blocks, searched by one scan (_block_scan): local is
-the case where every party is its own block, hybrid the case of two blocks.
-The first block is enumerated with the sign of its first setting tuple fixed
-at +1 (flipping the first and the last block together keeps every value, so
-this halves the search), every middle block in full.  The last block adds the
-1-norm of its effective coefficients; its signs match theirs, zeros resolving
-to +1.  Ties go to the first maximiser in lexicographic order (+1 before -1,
-the first block most significant), which always has +1 where the scan fixes it.
+* Local scripts: every party fixes both outcomes (a, a') in advance.  With
+  r_j = 1 where a_j != a'_j, a script's value is (a_1 ... a_n) w(r), w the
+  Walsh-Hadamard transform of the coefficient tensor, so the local bound is
+  max_r |w(r)| (Werner & Wolf, PRA 64, 032112, 2001; Zukowski & Brukner,
+  PRL 88, 210401, 2002).  This holds for full-correlation polynomials with
+  two +/-1 settings per party, which is every polynomial here.  The witness
+  is the script a scan of all 4**n would find first (see local_bound).
+* Hybrid two-block scripts: the parties split into blocks A and B with
+  arbitrary correlations inside a block and none across.  Only the product
+  of outcomes inside a block enters a correlation coefficient, so a block is
+  one sign per joint setting choice of its members.  _block_scan enumerates
+  block A with the sign of its first setting tuple fixed at +1 (flipping both
+  blocks keeps every value); block B adds the 1-norm of its effective
+  coefficients, its signs matching theirs, zeros resolving to +1.  Ties go to
+  the first maximiser in lexicographic order (+1 before -1, block A first).
 
 Probabilistic mixtures never help: the objective is linear, so deterministic
 scripts are the extreme points and the maximum over them is the model bound.
 
-The scan runs on the coefficients scaled to integers at the common
-denominator 2**K (K the largest log2 denominator), so every objective value
-is an exact integer sum and a bound is that integer over 2**K.  That scaled
-tensor comes from polynomial._scaled_tensor, which owns the rule for its
-dtype: the narrowest of int16, int32 and int64 that holds the coefficients'
-absolute sum, Python ints beyond.  That sum bounds every signed partial sum
-and every objective, and every block arrangement holds the same entries, so
-the scan is exact in the tensor's own dtype.
-_checked_bound re-sums every returned witness by one integer contraction,
-_block_sum, which evaluate_local and evaluate_hybrid also reach through
-_block_value, so a witness evaluates to exactly its bound.
+Both work on polynomial._scaled_tensor: the coefficients times 2**K (K the
+largest log2 denominator) as integers, in the narrowest of int16, int32 and
+int64 that holds their absolute sum, Python ints beyond.  Every transform
+entry and scan sum is a signed sum of those entries, so both are exact in
+that dtype, and a bound is an integer over 2**K.  _checked_bound re-sums
+every witness by one integer contraction, _block_sum, which evaluate_local
+and evaluate_hybrid also reach through _block_value, so a witness evaluates
+to exactly its bound.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -54,6 +49,7 @@ from .polynomial import (
     _check_integer,
     _check_party_count,
     _check_same_count,
+    _is_party_index,
     _scaled_tensor,
 )
 
@@ -73,7 +69,6 @@ __all__ = [
     "evaluate_hybrid",
 ]
 
-DEFAULT_LOCAL_CAP = 10
 DEFAULT_HYBRID_BLOCK_CAP = 4  # max size of the enumerated block A
 DEFAULT_BRUTE_SETTINGS_CAP = 8  # max 2**|block| per side for the oracle
 
@@ -203,6 +198,9 @@ class BlockStrategy:
         products = _as_tuple(self.products, "block products must be a sequence")
         if not parties:
             raise InvalidArgumentError("a block strategy needs at least one party")
+        for party in parties:  # a block does not know n, so no index has an upper end
+            if not _is_party_index(party, math.inf):
+                raise InvalidArgumentError(f"party index {party!r} is not a non-negative integer")
         if tuple(sorted(set(parties))) != parties:
             raise InvalidArgumentError("block parties must be distinct and ascending")
         expected = 1 << len(parties)
@@ -283,7 +281,7 @@ def _extract_bits(mask: int, parties: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Block-product scan
+# Block arrangement, two-block scan and witness re-sum
 # ---------------------------------------------------------------------------
 
 
@@ -302,9 +300,9 @@ def _doubling_table(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _halved_chunks(coef: np.ndarray):
-    """Later blocks' effective columns for each first-block strategy with tuple 0 at +1, in order.
+    """Block B's effective columns for each block A strategy with tuple 0 at +1, in order.
 
-    Each chunk is indexed (later blocks' tuple, strategy).  A suffix table of
+    Each chunk is indexed (block B's tuple, strategy).  A suffix table of
     at most 2**_CHUNK_LOG2 entries covers the last tuples, built once and
     stored in that layout, and each chunk is one row of the prefix table (the
     leading tuples) added to every column of it; with no leading tuples the
@@ -318,29 +316,23 @@ def _halved_chunks(coef: np.ndarray):
         yield row[:, None] + suffix
 
 
-def _block_scan(arranged: np.ndarray) -> tuple[int, list[tuple[int, ...]]]:
-    """(best objective, one sign table per block) over the strategies of arranged's 2+ blocks.
+def _block_scan(coef: np.ndarray) -> tuple[int, list[tuple[int, ...]]]:
+    """(best objective, both blocks' sign tables) over the strategies of the block matrix coef.
 
-    The winning index holds the enumerated blocks' signs, one bit per setting
-    tuple, the first block's leading (+1) bit a zero.
+    The winning index holds block A's signs, one bit per setting tuple, its
+    leading (+1) bit a zero; block B's signs match its effective coefficients.
     """
-    tuples = arranged.shape
     best = None
     start = 0
-    for effective in _halved_chunks(arranged.reshape(tuples[0], -1)):
-        for count in tuples[1:-1]:  # each middle block's signs become the least significant
-            rows = effective.reshape(count, -1, effective.shape[1])
-            table = _doubling_table(np.zeros_like(rows[0]), rows)
-            effective = table.transpose(1, 2, 0).reshape(rows.shape[1], -1)
-        # arranged's dtype holds every sum; numpy's default would widen small integers
-        objective = np.abs(effective).sum(axis=0, dtype=arranged.dtype)
+    for effective in _halved_chunks(coef):
+        # coef's dtype holds every sum; numpy's default would widen small integers
+        objective = np.abs(effective).sum(axis=0, dtype=coef.dtype)
         i = int(np.argmax(objective))
         if best is None or objective[i] > best:
             best, best_index, best_effective = int(objective[i]), start + i, effective[:, i].copy()
         start += effective.shape[1]
-    signs = iter([1 - 2 * (best_index >> bit & 1) for bit in range(sum(tuples[:-1]) - 1, -1, -1)]
-                 + [1 if x >= 0 else -1 for x in best_effective.tolist()])
-    return best, [tuple(itertools.islice(signs, count)) for count in tuples]
+    signs_a = tuple(1 - 2 * (best_index >> bit & 1) for bit in range(coef.shape[0] - 1, -1, -1))
+    return best, [signs_a, tuple(1 if x >= 0 else -1 for x in best_effective.tolist())]
 
 
 def _block_sum(arranged: np.ndarray, products) -> int:
@@ -358,7 +350,7 @@ def _block_value(p: Polynomial, blocks: tuple[tuple[int, ...], ...], products) -
 
 
 def _checked_bound(arranged: np.ndarray, best: int, products, k: int, witness) -> BoundResult:
-    """The scan's bound best / 2**k, once `witness`'s sign tables re-sum to best on `arranged`."""
+    """The bound best / 2**k, once `witness`'s sign tables re-sum to best on `arranged`."""
     model = "hybrid" if isinstance(witness, HybridWitness) else "local"
     resummed = _block_sum(arranged, products)
     if resummed != best:
@@ -380,26 +372,32 @@ def evaluate_local(p: Polynomial, s: LocalStrategy) -> float:
     return _block_value(p, tuple((j,) for j in range(p.n)), s.settings)
 
 
-def local_bound(p: Polynomial, *, cap: int = DEFAULT_LOCAL_CAP) -> BoundResult:
+def local_bound(p: Polynomial) -> BoundResult:
     """Maximum of evaluate_local over all 4**n scripts, with a maximizing witness.
 
-    The block scan with every party its own block: party 1's script is
-    enumerated with a = +1, the middle parties' four scripts in full, and
-    party n's script matches the signs of its effective coefficients.  Ties
-    go to the lexicographically smallest script encoding (+1 before -1,
-    party 1 first).  A lone party is the last block, after an empty first one.
+    The bound is max_r |w(r)| over the Walsh-Hadamard transform w of the
+    scaled tensor, index r with party 1 the most significant bit (see the
+    module docstring).  The witness is the script that a lexicographic scan
+    of all 4**n scripts finds first (+1 before -1, party 1 first, a before
+    a'): with s the sign of w(r) (+1 for zero), parties 1..n-1 play
+    (+1, (-1)**r_j) and party n plays (s, s (-1)**r_n), and among the
+    maximisers r the smallest key (r >> 1, s < 0, (s < 0) ^ (r & 1)) wins.
     """
-    _check_integer("cap", cap, 1)
-    if p.n > cap:
-        raise ResourceLimitError(
-            f"local enumeration over 4^{p.n} scripts exceeds the cap n <= {cap} "
-            f"(--local-cap)"
-        )
     tensor, k = _scaled_tensor(p)
-    blocks = tuple((j,) for j in range(p.n)) if p.n > 1 else ((), (0,))
-    arranged = _arrange(tensor, blocks)
-    best, products = _block_scan(arranged)
-    return _checked_bound(arranged, best, products, k, LocalStrategy(tuple(products[-p.n :])))
+    walsh = tensor.ravel()
+    for _ in range(p.n):  # transform the most significant party bit and make it the least
+        plain, primed = walsh.reshape(2, -1)
+        walsh = np.stack((plain + primed, plain - primed), axis=-1).ravel()
+    size = np.abs(walsh)
+    best = size.max()
+    tied = np.flatnonzero(size == best)
+    negative = walsh[tied] < 0
+    r = int(tied[np.argmin((tied >> 1) * 4 + negative * 2 + (negative ^ (tied & 1)))])
+    sign = -1 if walsh[r] < 0 else 1
+    settings = [(1, 1 - 2 * (r >> (p.n - 1 - j) & 1)) for j in range(p.n - 1)]
+    settings.append((sign, sign * (1 - 2 * (r & 1))))
+    # axis j is party j's setting, so the tensor is its own all-singletons arrangement
+    return _checked_bound(tensor, int(best), settings, k, LocalStrategy(tuple(settings)))
 
 
 # ---------------------------------------------------------------------------

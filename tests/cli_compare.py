@@ -66,9 +66,11 @@ VALID = [
     ["--format", "structured", "poly", "svetlichny", "4"],
     ["bounds", "svetlichny", "3"],
     ["--format", "structured", "bounds", "mk", "3", "--partition", "A=3|B=1,2"],
-    # the largest local enumerations under the default cap, and the one-party case
+    # local bounds where every Walsh entry ties (mk 10), past n = 10, and for one party
     ["--format", "structured", "bounds", "mk", "10", "--models", "local"],
     ["--format", "structured", "bounds", "svetlichny", "10", "--models", "local"],
+    ["bounds", "mk", "11", "--models", "local"],
+    ["--format", "structured", "bounds", "mk", "16", "--models", "local"],
     ["bounds", "mk", "1", "--models", "local"],
     [*QMAX, "mk", "3"],
     ["--format", "structured", *QMAX, "svetlichny", "3"],
@@ -109,8 +111,6 @@ SINGLE_FAULT = [
     ["--spectral-cap", "2", *QMAX, "mk", "3", "--state", "ghz:3"],
     ["--spectral-cap", "2", *CLASSIFY_STATE, "ghz:3", "--frame", "{tmp}/frame3.txt"],
     ["--spectral-cap", "2", "--restarts", "1", "table1"],
-    # local cap exceeded
-    ["bounds", "mk", "11", "--models", "local"],
     # bad state spec or state file
     [*QMAX, "mk", "3", "--state", "bogus:3"],
     [*QMAX, "mk", "3", "--state", "ghz:x"],
@@ -167,6 +167,7 @@ SINGLE_FAULT = [
     ["--restarts", "0", "qmax", "mk", "3"],
     ["--seed", "-1", "qmax", "mk", "2"],
     ["bounds", "mk", "3", "--models", "local", "--partition", "A=1|B=2,3"],
+    ["--local-cap", "10", "bounds", "mk", "3"],
 ]
 
 DOUBLE_FAULT = [

@@ -117,13 +117,12 @@ class TestBounds:
         )
         assert res.code == 2
 
-    def test_cap_exceeded_names_flag(self):
-        res = run_cli("bounds", "mk", "11", "--models", "local")
-        assert res.code == 3
-        assert "--local-cap" in res.err
+    def test_local_cap_flag_is_a_usage_error(self):
+        res = run_cli("--local-cap", "10", "bounds", "mk", "3")
+        assert (res.code, res.out) == (2, "")
 
-    def test_raised_cap_allows_run(self):
-        res = run_cli("--local-cap", "11", "bounds", "mk", "11", "--models", "local")
+    def test_local_bound_has_no_cap(self):
+        res = run_cli("bounds", "mk", "11", "--models", "local")
         assert res.code == 0
         assert "local bound: 1" in res.out
 
@@ -301,7 +300,7 @@ class TestGlobalFlags:
         assert res.code == 0
         assert "seed = 24301" in res.out
         assert "restarts = 16" in res.out
-        assert "local_cap = 10" in res.out
+        assert "local_cap" not in res.out
 
     def test_show_config_structured(self):
         res = run_cli("--format", "structured", "--show-config")
@@ -384,11 +383,6 @@ class TestSettingsReachEveryCommand:
         assert (res.code, res.err) == (
             3, "error: spectral computation for n=3 exceeds the cap n <= 2 (--spectral-cap)\n"
         )
-
-    def test_table1_local_cap(self):
-        res = run_cli("--local-cap", "2", "--restarts", "1", "table1")
-        assert res.code == 3
-        assert "--local-cap" in res.err
 
     def test_table1_forwards_search_settings(self, monkeypatch):
         calls = []

@@ -168,9 +168,10 @@ class TestLocalBound:
             result = M.local_bound(poly)
             assert M.evaluate_local(poly, result.witness) == result.value
 
-    def test_cap_enforced(self):
-        with pytest.raises(ResourceLimitError):
-            M.local_bound(P.mk(5), cap=4)
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_mk_bound_is_one_without_a_cap(self, n):
+        """The transform reads 2**n entries, so n = 16 and 20 stay quick."""
+        assert M.local_bound(P.mk(n)).value_exact == 1
 
     def test_empty_polynomial(self):
         assert M.local_bound(Polynomial(2, {})).value == 0.0
@@ -187,7 +188,7 @@ class TestLocalBound:
         [(P.mk(1), DyadicCoefficient(1), [[1, 1]]), (Polynomial(1, {}), DyadicCoefficient(0), [[1, 1]])],
     )
     def test_one_party(self, poly, value, settings):
-        """A lone party is the scan's last block: its script is read off by sign matching, zeros to +1."""
+        """A lone party plays (s, s (-1)**r) for the best r, zeros to +1."""
         result = M.local_bound(poly)
         assert result.value_exact == value
         assert result.witness.as_dict() == {"type": "local", "settings": settings}
@@ -223,15 +224,28 @@ def reference_local_bound(p: Polynomial) -> tuple[DyadicCoefficient, LocalStrate
 class TestLocalOracle:
     @settings(max_examples=80, deadline=None)
     @given(
-        st.integers(1, 6),
+        st.integers(1, 8),
         st.sampled_from(["random", "ties", "zero", "wide"]),
         st.integers(0, 2**32 - 1),
     )
     def test_matches_the_full_contraction(self, n, form, seed):
-        """The all-singletons block scan returns the value and the script of the 4**n enumeration."""
+        """The Walsh-Hadamard maximum returns the value and the script of the 4**n enumeration."""
         p = polynomial_in_form(n, form, np.random.default_rng(seed))
         if form == "wide":
             assert P._scaled_tensor(p)[0].dtype == object
+        self.check(p)
+
+    @pytest.mark.parametrize(
+        "p",
+        [P.mk(n) for n in range(1, 11)] + [P.svetlichny(n) for n in range(2, 11)],
+        ids=[f"mk{n}" for n in range(1, 11)] + [f"svetlichny{n}" for n in range(2, 11)],
+    )
+    def test_named_families(self, p):
+        """Up to n = 10, where every one of mk(10)'s 1024 transform entries ties in size."""
+        self.check(p)
+
+    @staticmethod
+    def check(p: Polynomial) -> None:
         value, witness = reference_local_bound(p)
         result = M.local_bound(p)
         assert result.value_exact == value
@@ -239,7 +253,7 @@ class TestLocalOracle:
 
 
 def brute_block_scan(arranged: np.ndarray) -> tuple[int, list[tuple[int, ...]]]:
-    """Every combination of the blocks' full sign tables in lexicographic order, the first block most significant; the first maximiser."""
+    """Every pair of the two blocks' full sign tables in lexicographic order, block A most significant; the first maximiser."""
     tables = [M._sign_rows(count) for count in arranged.shape]
     best = None
     for rows in itertools.product(*tables):
@@ -254,13 +268,13 @@ def brute_block_scan(arranged: np.ndarray) -> tuple[int, list[tuple[int, ...]]]:
 class TestBlockScan:
     @settings(max_examples=60, deadline=None)
     @given(
-        st.lists(st.integers(0, 2), min_size=2, max_size=4).filter(lambda w: sum(1 << x for x in w) <= 9),
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
         st.sampled_from([2, 15]),
         st.booleans(),
         st.integers(0, 2**32 - 1),
     )
     def test_matches_the_full_enumeration(self, widths, chunk_log2, as_objects, seed):
-        """Any number of blocks, middle ones included, and chunks smaller than the first block's table."""
+        """Two blocks, either of them possibly empty, and chunks smaller than block A's table."""
         rng = np.random.default_rng(seed)
         shape = tuple(1 << w for w in widths)
         arranged = rng.integers(-2, 3, size=shape).astype(object if as_objects else np.int16)
@@ -857,10 +871,21 @@ class TestBadInput:
                 "block B strategy does not match the bipartition",
             ),
             *(
+                pytest.param(
+                    lambda party=party: BlockStrategy(party, (1, 1)),
+                    f"party index {party[0]!r} is not a non-negative integer",
+                    id=f"block-party-{party[0]!r}",
+                )
+                for party in ((0.5,), (-1,), (True,), ("1",), ([0],))
+            ),
+            (
+                lambda: BlockStrategy(("a", 1), (1,) * 4),
+                "party index 'a' is not a non-negative integer",
+            ),
+            *(
                 pytest.param(make, f"{what} must be an integer >= 1, got {cap!r}", id=f"{name}-{cap!r}")
                 for cap in (True, 2.5, 0)
                 for name, what, make in (
-                    ("local", "cap", lambda cap=cap: M.local_bound(P.mk(3), cap=cap)),
                     (
                         "hybrid",
                         "max_block_size",
