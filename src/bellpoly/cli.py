@@ -323,6 +323,39 @@ def cmd_table1(args: argparse.Namespace, config: RunConfig) -> tuple[dict, str]:
 # ---------------------------------------------------------------------------
 
 
+def _flag(setting) -> str:
+    """The command-line flag of one RunConfig field."""
+    return setting.metadata.get("flag", "--" + setting.name.replace("_", "-"))
+
+
+@functools.cache
+def _global_flags() -> dict[str, bool]:
+    """Every flag before the command, mapped to whether it takes a value."""
+    flags = {_flag(setting): True for setting in fields(RunConfig)}
+    return {**flags, "--show-config": False, "--help": False}
+
+
+def _check_flags_before_command(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Name an unknown flag before the command whose separate value argparse would take for it.
+
+    argparse reports such a value as an invalid command; it names the flag
+    only when the value is joined by "=" or the flag follows the command.
+    A prefix of a known flag counts as known, as argparse resolves it.
+    """
+    flags = _global_flags()
+    at = 0
+    while at < len(argv) and argv[at].startswith("--") and argv[at] != "--":
+        name, joined, _ = argv[at].partition("=")
+        known = [flag for flag in flags if flag.startswith(name)] if name not in flags else [name]
+        if not known:
+            value = argv[at + 1] if at + 1 < len(argv) else None
+            stray = value is not None and value not in _COMMANDS and not value.startswith("-")
+            if stray and not joined:
+                parser.error(f"unrecognized arguments: {argv[at]} {value}")
+            return
+        at += 2 if not joined and any(flags[flag] for flag in known) else 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellpoly",
@@ -333,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for setting in fields(RunConfig):
         parser.add_argument(
-            setting.metadata.get("flag", "--" + setting.name.replace("_", "-")),
+            _flag(setting),
             dest=setting.name,
             type=type(setting.default),
             default=setting.default,
@@ -402,6 +435,8 @@ def _emit(doc: dict, text: str, config: RunConfig) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    _check_flags_before_command(parser, argv)
     args = parser.parse_args(argv)
     try:
         config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})

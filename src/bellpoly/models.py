@@ -10,11 +10,18 @@
 * Hybrid two-block scripts: the parties split into blocks A and B with
   arbitrary correlations inside a block and none across.  Only the product
   of outcomes inside a block enters a correlation coefficient, so a block is
-  one sign per joint setting choice of its members.  _block_scan enumerates
+  one sign per joint setting choice of its members.  _block_scans enumerates
   block A with the sign of its first setting tuple fixed at +1 (flipping both
   blocks keeps every value); block B adds the 1-norm of its effective
   coefficients, its signs matching theirs, zeros resolving to +1.  Ties go to
   the first maximiser in lexicographic order (+1 before -1, block A first).
+  It scans a stack of block matrices of one shape in one chunked pass, so
+  the fixed numpy cost of a chunk is paid once per stack, not per matrix;
+  each matrix keeps a running best (the first maximum of a chunk, replaced
+  only by a strictly larger one), so memory stays at one chunk of at most
+  2**_CHUNK_LOG2 entries plus the tables it is added from, never a whole
+  objective array.  hybrid_bound_all stacks the distinct matrices of every
+  split size; hybrid_bound passes a stack of one.
 
 Probabilistic mixtures never help: the objective is linear, so deterministic
 scripts are the extreme points and the maximum over them is the model bound.
@@ -31,6 +38,7 @@ to exactly its bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
@@ -72,10 +80,13 @@ __all__ = [
 DEFAULT_HYBRID_BLOCK_CAP = 4  # max size of the enumerated block A
 DEFAULT_BRUTE_SETTINGS_CAP = 8  # max 2**|block| per side for the oracle
 
-# log2 of the entries in one chunk of the block scan: 64 KiB of int16 (256 KiB
-# of int64) stays in a core's cache; 2**14 to 2**16 time alike, 2**13 and
-# 2**17 are slower
-_CHUNK_LOG2 = 15
+# log2 of the entries in one chunk of the batched block scan, over the whole
+# stack: 256 KiB of int16 (1 MiB of int64) stays in a core's 2 MiB L2.  On a
+# 2-core Xeon, hybrid_bound_all of the two dense n = 8 polynomials, mk(9),
+# svetlichny(8) and svetlichny(9) took 33.7 ms (median of 15) at 2**17,
+# against 35.0 ms at 2**16 and 35.8 ms at 2**18; the 35 4|4 matrices of a
+# dense n = 8 polynomial favour larger chunks, single matrices smaller ones
+_CHUNK_LOG2 = 17
 
 
 def _require_pm1(value: int, what: str) -> int:
@@ -293,46 +304,75 @@ def _arrange(tensor: np.ndarray, blocks: tuple[tuple[int, ...], ...]) -> np.ndar
 
 def _doubling_table(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """All sums first +/- rows[0] +/- rows[1] ..., in _sign_rows order (+ before -, rows[0] slowest)."""
-    table = first[None, :]
-    for row in rows[::-1]:  # the row added last becomes the most significant sign
-        table = np.concatenate((table + row, table - row))
-    return table
+    table = np.empty((1 << len(rows), first.size), dtype=first.dtype)
+    table[0] = first.ravel()
+    size = 1
+    # the row added last becomes the most significant sign
+    for row in rows.reshape(len(rows), first.size)[::-1]:
+        np.subtract(table[:size], row, out=table[size : 2 * size])
+        np.add(table[:size], row, out=table[:size])
+        size *= 2
+    return table.reshape(-1, *first.shape)
 
 
-def _halved_chunks(coef: np.ndarray):
-    """Block B's effective columns for each block A strategy with tuple 0 at +1, in order.
+def _block_scans(coefs: np.ndarray) -> list[tuple[int, tuple, tuple]]:
+    """Per matrix of the stack coefs: (best objective, sign tables as tuples, the same as int64 rows).
 
-    Each chunk is indexed (block B's tuple, strategy).  A suffix table of
-    at most 2**_CHUNK_LOG2 entries covers the last tuples, built once and
-    stored in that layout, and each chunk is one row of the prefix table (the
-    leading tuples) added to every column of it; with no leading tuples the
-    one chunk is the whole table.
+    coefs has shape (matrices, 2**|A|, 2**|B|) and a dtype that holds every
+    sum.  Block A's strategies with tuple 0 at +1 are enumerated in index
+    order, one bit per setting tuple, the leading (+1) bit a zero; block B's
+    signs match the winner's effective coefficients, signs_a @ coef, zeros
+    resolving to +1.  The stack is scanned in slices of as many matrices as
+    let a chunk cover half of block A's free tuples within 2**_CHUNK_LOG2
+    entries, so that no table of a slice is larger than its chunk.
     """
-    free = coef.shape[0] - 1
-    suffix_log2 = max(_CHUNK_LOG2 - (coef.shape[1].bit_length() - 1), 0)
-    split = max(free - suffix_log2, 0)
-    suffix = np.ascontiguousarray(_doubling_table(np.zeros_like(coef[0]), coef[1 + split :]).T)
-    for row in _doubling_table(coef[0], coef[1 : 1 + split]):
-        yield row[:, None] + suffix
+    count, rows, cols = coefs.shape
+    per_slice = max(1 << _CHUNK_LOG2 >> (cols.bit_length() - 1 + rows // 2), 1)
+    slices = (coefs[at : at + per_slice] for at in range(0, count, per_slice))
+    return [scan for part in slices for scan in _slice_scans(part)]
 
 
-def _block_scan(coef: np.ndarray) -> tuple[int, list[tuple[int, ...]]]:
-    """(best objective, both blocks' sign tables) over the strategies of the block matrix coef.
+def _slice_scans(coefs: np.ndarray) -> list[tuple[int, tuple, tuple]]:
+    """_block_scans of one slice, in one pass of chunks of at most 2**_CHUNK_LOG2 entries.
 
-    The winning index holds block A's signs, one bit per setting tuple, its
-    leading (+1) bit a zero; block B's signs match its effective coefficients.
+    A suffix table holds tuple 0 plus every sum over the last free tuples,
+    laid out (B tuple, matrix, strategy); each chunk adds one row of the
+    leading tuples' table to it, or is the suffix table itself when there
+    are none.  Each matrix keeps a running best: the first maximum of a
+    chunk, replaced only by a strictly larger one, so the winner is the
+    lexicographically first maximiser and memory stays at one chunk.
     """
-    best = None
-    start = 0
-    for effective in _halved_chunks(coef):
-        # coef's dtype holds every sum; numpy's default would widen small integers
-        objective = np.abs(effective).sum(axis=0, dtype=coef.dtype)
-        i = int(np.argmax(objective))
-        if best is None or objective[i] > best:
-            best, best_index, best_effective = int(objective[i]), start + i, effective[:, i].copy()
-        start += effective.shape[1]
-    signs_a = tuple(1 - 2 * (best_index >> bit & 1) for bit in range(coef.shape[0] - 1, -1, -1))
-    return best, [signs_a, tuple(1 if x >= 0 else -1 for x in best_effective.tolist())]
+    count, rows, cols = coefs.shape
+    free = rows - 1
+    suffix_log2 = min(max(_CHUNK_LOG2 - (count * cols - 1).bit_length(), 0), free)
+    split = free - suffix_log2
+    by_row = coefs.transpose(1, 2, 0)  # (A tuple, B tuple, matrix)
+    suffix = _doubling_table(by_row[0], by_row[1 + split :])
+    suffix = np.ascontiguousarray(suffix.transpose(1, 2, 0))
+    if split:
+        chunk = np.empty_like(suffix)
+        leading = _doubling_table(np.zeros_like(by_row[0]), by_row[1 : 1 + split])
+        chunks = (np.add(row[:, :, None], suffix, out=chunk) for row in leading)
+    else:
+        chunks = (suffix,)
+    for start, effective in enumerate(chunks):
+        # coefs' dtype holds every sum; numpy's default would widen small integers
+        objective = np.add.reduce(np.abs(effective, out=effective), axis=0, dtype=coefs.dtype)
+        index = objective.argmax(axis=1)
+        value = np.maximum.reduce(objective, axis=1)
+        if not start:
+            best, best_index = value, index
+        else:
+            better = value > best
+            best = np.where(better, value, best)
+            best_index = np.where(better, index + (start << suffix_log2), best_index)
+    signs_a = 1 - 2 * (best_index[:, None] >> np.arange(free, -1, -1) & 1)
+    effective = np.matmul(signs_a[:, None, :], coefs)[:, 0]
+    signs_b = np.where(effective >= 0, 1, -1)
+    return [
+        (total, (tuple(a.tolist()), tuple(b.tolist())), (a, b))
+        for total, a, b in zip(best.tolist(), signs_a, signs_b)
+    ]
 
 
 def _block_sum(arranged: np.ndarray, products) -> int:
@@ -408,6 +448,11 @@ def local_bound(p: Polynomial) -> BoundResult:
 def bipartitions(n: int) -> tuple[Bipartition, ...]:
     """All canonical bipartitions of n parties; there are 2**(n-1) - 1 of them."""
     _check_party_count(n, 2)
+    return _bipartitions(n)
+
+
+@functools.cache
+def _bipartitions(n: int) -> tuple[Bipartition, ...]:
     # every split has exactly one block without party n; the constructor canonicalises it
     found = [Bipartition(n, mask) for mask in range(1, 1 << (n - 1))]
     found.sort(key=lambda bp: (bp.block_a_mask.bit_count(), bp.block_a_mask))
@@ -444,32 +489,19 @@ def hybrid_bound(
             f"block A has {size_a} parties; enumeration is capped at "
             f"{max_block_size} (--hybrid-block-cap)"
         )
-    return _hybrid_bound(_scaled_tensor(p), partition, {})
+    tensor, k = _scaled_tensor(p)
+    coef = _arrange(tensor, (partition.block_a_parties, partition.block_b_parties))
+    return _split_bound(partition, coef, k, _block_scans(coef[None])[0])
 
 
-def _hybrid_bound(
-    scaled: tuple[np.ndarray, int], partition: Bipartition, scans: dict
-) -> BoundResult:
-    """hybrid_bound on the polynomial's _scaled_tensor, which hybrid_bound_all builds once.
-
-    scans holds the _block_scan of every block matrix seen so far, keyed by
-    shape and exact entries, with its products as int64 arrays; each split
-    wraps the products for its own parties and re-sums the arrays on its own
-    block matrix.
-    """
-    a = partition.block_a_parties
-    b = partition.block_b_parties
-    tensor, k = scaled
-    coef = _arrange(tensor, (a, b))
-    if coef.dtype == object:
-        key = (coef.shape, tuple(coef.ravel().tolist()))
-    else:
-        key = (coef.shape, coef.dtype, coef.tobytes())
-    if key not in scans:
-        best, products = _block_scan(coef)
-        scans[key] = best, products, [np.asarray(signs, dtype=np.int64) for signs in products]
-    best, products, signs = scans[key]
-    witness = HybridWitness(partition, BlockStrategy(a, products[0]), BlockStrategy(b, products[1]))
+def _split_bound(partition: Bipartition, coef: np.ndarray, k: int, scan) -> BoundResult:
+    """One split's bound from a _block_scans result: its own witness, re-summed on its own matrix."""
+    best, products, signs = scan
+    witness = HybridWitness(
+        partition,
+        BlockStrategy(partition.block_a_parties, products[0]),
+        BlockStrategy(partition.block_b_parties, products[1]),
+    )
     return _checked_bound(coef, best, signs, k, witness)
 
 
@@ -533,10 +565,14 @@ def hybrid_bound_all(
 ) -> HybridScan:
     """hybrid_bound over every canonical bipartition, and their maximum.
 
-    Splits with equal integer block matrices share one scan.  Every named
-    family is invariant under party permutations, so it has one matrix per
-    block size: 4 scans for the 127 or 255 splits at n = 8, 9.  Each split
-    re-sums the shared witness on its own block matrix.
+    Every split's block matrix is arranged first.  Splits with equal integer
+    matrices (same shape, dtype and entries) share one scan, and the distinct
+    matrices of one shape are scanned together by one _block_scans call: the
+    35 4|4 matrices of a dense n = 8 polynomial in one pass instead of 35.
+    Every named family is invariant under party permutations, so it has one
+    matrix per block size: 4 scanned matrices for the 127 or 255 splits at
+    n = 8, 9.  Each split then builds its own witness and re-sums it on its
+    own block matrix.
     """
     _check_integer("max_block_size", max_block_size, 1)
     if p.n // 2 > max_block_size:  # fail before computing any partition
@@ -544,12 +580,24 @@ def hybrid_bound_all(
             f"a balanced split of {p.n} parties has a block of {p.n // 2}; "
             f"enumeration is capped at {max_block_size} (--hybrid-block-cap)"
         )
-    scaled = _scaled_tensor(p)
-    scans: dict = {}
+    tensor, k = _scaled_tensor(p)
+    splits = []
+    groups: dict = {}  # (shape, dtype) -> {block matrix key: the first matrix with it}
+    for partition in bipartitions(p.n):
+        coef = _arrange(tensor, (partition.block_a_parties, partition.block_b_parties))
+        if coef.dtype == object:
+            key = (coef.shape, tuple(coef.ravel().tolist()))
+        else:
+            key = (coef.shape, coef.dtype, coef.tobytes())
+        groups.setdefault((coef.shape, coef.dtype), {}).setdefault(key, coef)
+        splits.append((partition, coef, key))
+    scans = {}
+    for matrices in groups.values():
+        scans.update(zip(matrices, _block_scans(np.stack(list(matrices.values())))))
     results = []
     overall: BoundResult | None = None
-    for partition in bipartitions(p.n):
-        result = _hybrid_bound(scaled, partition, scans)
+    for partition, coef, key in splits:
+        result = _split_bound(partition, coef, k, scans[key])
         results.append((partition, result))
         if overall is None or result.value_exact > overall.value_exact:
             overall = result

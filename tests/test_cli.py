@@ -121,6 +121,26 @@ class TestBounds:
         res = run_cli("--local-cap", "10", "bounds", "mk", "3")
         assert (res.code, res.out) == (2, "")
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--local-cap", "10", "bounds", "mk", "3"], "--local-cap 10"),
+            (["--local-cap=10", "bounds", "mk", "3"], "--local-cap=10"),
+            (["--seed", "3", "--bogus", "10", "bounds", "mk", "3"], "--bogus 10"),
+            (["bounds", "mk", "3", "--local-cap", "10"], "--local-cap 10"),
+        ],
+    )
+    def test_an_unknown_flag_is_named_wherever_it_stands(self, argv, named):
+        res = run_cli(*argv)
+        assert (res.code, res.out) == (2, "")
+        assert res.err.rstrip().endswith(f"error: unrecognized arguments: {named}")
+
+    def test_a_known_flag_prefix_still_resolves_before_the_command(self):
+        assert run_cli("--spec", "2", "bounds", "mk", "3").code == 0
+        res = run_cli("--seed", "-1", "bogus")
+        assert res.code == 2
+        assert "invalid choice: 'bogus'" in res.err
+
     def test_local_bound_has_no_cap(self):
         res = run_cli("bounds", "mk", "11", "--models", "local")
         assert res.code == 0

@@ -265,6 +265,40 @@ def brute_block_scan(arranged: np.ndarray) -> tuple[int, list[tuple[int, ...]]]:
     return best, products
 
 
+# each threshold of _scaled_tensor's dtype rule, and the first sum past it
+THRESHOLDS = [
+    (2**15 - 1, np.int16),
+    (2**15, np.int32),
+    (2**31 - 1, np.int32),
+    (2**31, np.int64),
+    (2**62 - 1, np.int64),
+    (2**62, object),
+]
+
+
+def with_abs_sum(shape, total: int, rng: np.random.Generator) -> np.ndarray:
+    """Random signed integers (object dtype) with absolute sum `total`; some rows and columns are zero."""
+    live = rng.random(shape) < 0.7
+    live[rng.random(shape[0]) < 0.3] = False  # a zero row ties each strategy with its flip there
+    live[:, rng.random(shape[1]) < 0.3] = False
+    live.flat[int(rng.integers(live.size))] = True
+    magnitudes = np.zeros(shape, dtype=object)
+    cells = np.flatnonzero(live)
+    # a random split of `total` over the live cells; the rounding remainder goes to one of them
+    weights = rng.random(len(cells))
+    shares = [int(total * w // weights.sum()) for w in weights]
+    shares[int(rng.integers(len(shares)))] += total - sum(shares)
+    magnitudes.flat[cells] = shares
+    return magnitudes * rng.choice([-1, 1], size=shape).astype(object)
+
+
+def scan_one(arranged: np.ndarray) -> tuple[int, list[tuple[int, ...]]]:
+    """_block_scans of a stack of one, as (best, both blocks' sign tables)."""
+    best, products, signs = M._block_scans(arranged[None])[0]
+    assert [tuple(row.tolist()) for row in signs] == list(products)
+    return best, list(products)
+
+
 class TestBlockScan:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -280,9 +314,60 @@ class TestBlockScan:
         arranged = rng.integers(-2, 3, size=shape).astype(object if as_objects else np.int16)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(M, "_CHUNK_LOG2", chunk_log2)
-            best, products = M._block_scan(arranged)
+            best, products = scan_one(arranged)
         assert (best, products) == brute_block_scan(arranged)
         assert M._block_sum(arranged, products) == best
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.sampled_from([2, None]),
+        st.sampled_from(["ties", "threshold"]),
+        st.sampled_from(range(len(THRESHOLDS))),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_matrix_of_a_stack_matches_the_full_enumeration(
+        self, count, widths, chunk_log2, form, threshold, seed
+    ):
+        """Stacks of 1-6 matrices, block A or B possibly one tuple, in every dtype of _scaled_tensor.
+
+        "ties" draws entries from -1..1, so most strategies tie within a
+        chunk and, at 2**2 entries a chunk, across chunks; "threshold" gives
+        each matrix the absolute sum at a dtype edge.
+        """
+        rng = np.random.default_rng(seed)
+        shape = tuple(1 << w for w in widths)
+        total, dtype = THRESHOLDS[threshold]
+        if form == "ties":
+            exact = [rng.integers(-1, 2, size=shape).astype(object) for _ in range(count)]
+        else:
+            exact = [with_abs_sum(shape, total, rng) for _ in range(count)]
+        stack = np.stack(exact).astype(dtype)
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk_log2 is not None:
+                patch.setattr(M, "_CHUNK_LOG2", chunk_log2)
+            scans = M._block_scans(stack)
+        assert len(scans) == count
+        for matrix, (best, products, signs) in zip(exact, scans):
+            assert (best, list(products)) == brute_block_scan(matrix)
+            assert [tuple(row.tolist()) for row in signs] == list(products)
+
+    @pytest.mark.parametrize("chunk_log2", [2, 17])
+    def test_each_matrix_of_a_stack_keeps_its_own_winner(self, chunk_log2, monkeypatch):
+        """Eight matrices whose unique winners all differ, in values and in both blocks' signs."""
+        stack = []
+        for i, (s1, s2, s3) in enumerate(itertools.product((1, -1), repeat=3)):
+            # block A's only maximiser is (+1, s1, s2, s3); block B's column 1 is -(i + 1) times column 0
+            column = np.array([8, 4 * s1, 2 * s2, s3]) * (i + 1)
+            stack.append(np.stack([column, -(i + 1) * column], axis=1))
+        stack = np.array(stack, dtype=np.int16)
+        monkeypatch.setattr(M, "_CHUNK_LOG2", chunk_log2)
+        scans = M._block_scans(stack)
+        for i, (matrix, (best, products, _)) in enumerate(zip(stack, scans)):
+            assert (best, list(products)) == brute_block_scan(matrix)
+            assert best == 15 * (i + 1) * (i + 2)
+        assert len({products for _, products, _ in scans}) == len(stack)
 
 
 def block_matrix_by_terms(p: Polynomial, a: tuple[int, ...], b: tuple[int, ...]) -> np.ndarray:
@@ -467,6 +552,20 @@ class TestBipartitions:
         with pytest.raises(InvalidArgumentError):
             M.bipartitions(1)
 
+    def test_a_repeat_call_returns_the_same_tuple(self):
+        assert M.bipartitions(6) is M.bipartitions(6)
+
+    @pytest.mark.parametrize("n", [0, 1, True, 2.5, "3"])
+    def test_a_bad_count_raises_every_time(self, n):
+        """The listing is cached behind the party-count check, so no good call lets a bad one through."""
+        for _ in range(2):
+            with pytest.raises(InvalidArgumentError):
+                M.bipartitions(n)
+        M.bipartitions(3)
+        M.bipartitions(2)
+        with pytest.raises(InvalidArgumentError):
+            M.bipartitions(n)
+
 
 class TestHybridBound:
     def test_mk3_reaches_two_on_every_split(self):
@@ -556,15 +655,15 @@ def with_tiny_corner(p: Polynomial) -> Polynomial:
 
 
 def count_scans(monkeypatch) -> list:
-    """Record one entry per hybrid scan (one _halved_chunks call each)."""
+    """Record one entry per scanned block matrix (its shape), over every _block_scans call."""
     calls = []
-    real = M._halved_chunks
+    real = M._block_scans
 
-    def spy(coef):
-        calls.append(coef.shape)
-        return real(coef)
+    def spy(coefs):
+        calls.extend([coefs.shape[1:]] * len(coefs))
+        return real(coefs)
 
-    monkeypatch.setattr(M, "_halved_chunks", spy)
+    monkeypatch.setattr(M, "_block_scans", spy)
     return calls
 
 
@@ -645,33 +744,6 @@ def reference_scan(coef: np.ndarray) -> tuple[int, int, np.ndarray]:
     return best, best_index, best_effective
 
 
-# each threshold of _scaled_tensor's dtype rule, and the first sum past it
-THRESHOLDS = [
-    (2**15 - 1, np.int16),
-    (2**15, np.int32),
-    (2**31 - 1, np.int32),
-    (2**31, np.int64),
-    (2**62 - 1, np.int64),
-    (2**62, object),
-]
-
-
-def with_abs_sum(shape, total: int, rng: np.random.Generator) -> np.ndarray:
-    """Random signed integers (object dtype) with absolute sum `total`; some rows and columns are zero."""
-    live = rng.random(shape) < 0.7
-    live[rng.random(shape[0]) < 0.3] = False  # a zero row ties each strategy with its flip there
-    live[:, rng.random(shape[1]) < 0.3] = False
-    live.flat[int(rng.integers(live.size))] = True
-    magnitudes = np.zeros(shape, dtype=object)
-    cells = np.flatnonzero(live)
-    # a random split of `total` over the live cells; the rounding remainder goes to one of them
-    weights = rng.random(len(cells))
-    shares = [int(total * w // weights.sum()) for w in weights]
-    shares[int(rng.integers(len(shares)))] += total - sum(shares)
-    magnitudes.flat[cells] = shares
-    return magnitudes * rng.choice([-1, 1], size=shape).astype(object)
-
-
 def decoded(index: int, row: np.ndarray, tuples_a: int) -> list[tuple[int, ...]]:
     """A reference_scan result as the two blocks' sign tables: A's from the index bits, B's by sign matching."""
     row_a = [1 - 2 * ((index >> bit) & 1) for bit in range(tuples_a - 1, -1, -1)]
@@ -679,7 +751,7 @@ def decoded(index: int, row: np.ndarray, tuples_a: int) -> list[tuple[int, ...]]
 
 
 class TestColumnScan:
-    """_block_scan works column-wise in the tensor's own dtype and agrees with the row-major oracle."""
+    """_block_scans works column-wise in the tensor's own dtype and agrees with the row-major oracle."""
 
     @pytest.mark.parametrize("total, dtype", THRESHOLDS)
     def test_scaled_tensor_picks_the_narrowest_exact_dtype(self, total, dtype):
@@ -701,20 +773,21 @@ class TestColumnScan:
         total, dtype = threshold
         exact = with_abs_sum((1 << rows_log2, 1 << cols_log2), total, np.random.default_rng(seed))
         coef = exact if as_objects else exact.astype(dtype)
-        real = M._halved_chunks
-        chunks = []
+        real = M._doubling_table
+        tables = []
 
-        def spy(arranged):
-            for chunk in real(arranged):
-                chunks.append(chunk.dtype)
-                yield chunk
+        def spy(first, rows):
+            table = real(first, rows)
+            tables.append(table.dtype)
+            return table
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(M, "_halved_chunks", spy)
-            best, products = M._block_scan(coef)
+            patch.setattr(M, "_doubling_table", spy)
+            best, products = scan_one(coef)
         expected, expected_index, row = reference_scan(exact.astype(np.int64))
         assert (best, products) == (expected, decoded(expected_index, row, coef.shape[0]))
-        assert set(chunks) == {coef.dtype}
+        # every table, and so every chunk added from them, is in the tensor's own dtype
+        assert set(tables) == {coef.dtype}
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 5), st.booleans(), st.integers(0, 2**32 - 1))
