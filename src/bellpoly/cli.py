@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
@@ -332,7 +333,13 @@ def _flag(setting) -> str:
 def _global_flags() -> dict[str, bool]:
     """Every flag before the command, mapped to whether it takes a value."""
     flags = {_flag(setting): True for setting in fields(RunConfig)}
-    return {**flags, "--show-config": False, "--help": False}
+    return {**flags, "--show-config": False, "--help": False, "-h": False}
+
+
+def _reads_as_flag(token: str) -> bool:
+    """Whether argparse reads `token` as a flag: "-" and more, neither "--" nor a negative number."""
+    negative = re.fullmatch(r"-\d+|-\d*\.\d+", token)  # argparse's pattern
+    return len(token) > 1 and token.startswith("-") and token != "--" and not negative
 
 
 def _check_flags_before_command(parser: argparse.ArgumentParser, argv: list[str]) -> None:
@@ -340,13 +347,14 @@ def _check_flags_before_command(parser: argparse.ArgumentParser, argv: list[str]
 
     argparse reports such a value as an invalid command; it names the flag
     only when the value is joined by "=" or the flag follows the command.
-    A prefix of a known flag counts as known, as argparse resolves it.
+    A prefix of a known flag, or a short flag with its value attached,
+    counts as known, as argparse resolves them.
     """
     flags = _global_flags()
     at = 0
-    while at < len(argv) and argv[at].startswith("--") and argv[at] != "--":
+    while at < len(argv) and _reads_as_flag(argv[at]):
         name, joined, _ = argv[at].partition("=")
-        known = [flag for flag in flags if flag.startswith(name)] if name not in flags else [name]
+        known = [name] if name in flags else [f for f in flags if f.startswith(name) or f == name[:2]]
         if not known:
             value = argv[at + 1] if at + 1 < len(argv) else None
             stray = value is not None and value not in _COMMANDS and not value.startswith("-")

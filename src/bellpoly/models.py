@@ -10,18 +10,16 @@
 * Hybrid two-block scripts: the parties split into blocks A and B with
   arbitrary correlations inside a block and none across.  Only the product
   of outcomes inside a block enters a correlation coefficient, so a block is
-  one sign per joint setting choice of its members.  _block_scans enumerates
-  block A with the sign of its first setting tuple fixed at +1 (flipping both
-  blocks keeps every value); block B adds the 1-norm of its effective
-  coefficients, its signs matching theirs, zeros resolving to +1.  Ties go to
-  the first maximiser in lexicographic order (+1 before -1, block A first).
-  It scans a stack of block matrices of one shape in one chunked pass, so
-  the fixed numpy cost of a chunk is paid once per stack, not per matrix;
-  each matrix keeps a running best (the first maximum of a chunk, replaced
-  only by a strictly larger one), so memory stays at one chunk of at most
-  2**_CHUNK_LOG2 entries plus the tables it is added from, never a whole
-  objective array.  hybrid_bound_all stacks the distinct matrices of every
-  split size; hybrid_bound passes a stack of one.
+  one sign per joint setting choice of its members, a sign table numbered by
+  _signs.  _block_scans enumerates block A with the sign of its first
+  setting tuple fixed at +1 (flipping both blocks keeps every value); block
+  B adds the 1-norm of its effective coefficients, its signs matching
+  theirs, zeros resolving to +1.  Ties go to the first maximiser in
+  lexicographic order (+1 before -1, block A first).  hybrid_bound and
+  hybrid_bound_all share one pipeline, _hybrid_bounds, which scans the
+  distinct block matrices of each shape as one stack, in chunks of about
+  2**_CHUNK_LOG2 entries.  No table of the scan outgrows a chunk, so memory
+  stays at a few chunks plus the block matrices, at any split.
 
 Probabilistic mixtures never help: the objective is linear, so deterministic
 scripts are the extreme points and the maximum over them is the model bound.
@@ -302,8 +300,17 @@ def _arrange(tensor: np.ndarray, blocks: tuple[tuple[int, ...], ...]) -> np.ndar
     return tensor.transpose(axes).reshape([1 << len(block) for block in blocks])
 
 
+def _signs(index, width: int) -> np.ndarray:
+    """Sign table number `index` (one per entry, on a new last axis, for an array of indices).
+
+    Entry k of a table is -1 where bit k of its index, big-endian, is 1, so
+    integer order on indices is lexicographic order (+1 before -1) on tables.
+    """
+    return 1 - 2 * (np.right_shift.outer(index, np.arange(width - 1, -1, -1)) & 1)
+
+
 def _doubling_table(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """All sums first +/- rows[0] +/- rows[1] ..., in _sign_rows order (+ before -, rows[0] slowest)."""
+    """All sums first +/- rows[0] +/- rows[1] ..., in _signs order (+ before -, rows[0] slowest)."""
     table = np.empty((1 << len(rows), first.size), dtype=first.dtype)
     table[0] = first.ravel()
     size = 1
@@ -315,45 +322,48 @@ def _doubling_table(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return table.reshape(-1, *first.shape)
 
 
+def _leading_sums(first: np.ndarray, rows: np.ndarray, level: int) -> Iterator[np.ndarray]:
+    """All sums first +/- rows[0] +/- rows[1] ..., in _signs order, from nested tables of 2**level rows."""
+    table = _doubling_table(first, rows[:level])
+    if len(rows) <= level:
+        yield from table
+    else:
+        for row in table:
+            yield from _leading_sums(row, rows[level:], level)
+
+
 def _block_scans(coefs: np.ndarray) -> list[tuple[int, tuple, tuple]]:
     """Per matrix of the stack coefs: (best objective, sign tables as tuples, the same as int64 rows).
 
     coefs has shape (matrices, 2**|A|, 2**|B|) and a dtype that holds every
-    sum.  Block A's strategies with tuple 0 at +1 are enumerated in index
-    order, one bit per setting tuple, the leading (+1) bit a zero; block B's
-    signs match the winner's effective coefficients, signs_a @ coef, zeros
-    resolving to +1.  The stack is scanned in slices of as many matrices as
-    let a chunk cover half of block A's free tuples within 2**_CHUNK_LOG2
-    entries, so that no table of a slice is larger than its chunk.
-    """
-    count, rows, cols = coefs.shape
-    per_slice = max(1 << _CHUNK_LOG2 >> (cols.bit_length() - 1 + rows // 2), 1)
-    slices = (coefs[at : at + per_slice] for at in range(0, count, per_slice))
-    return [scan for part in slices for scan in _slice_scans(part)]
+    sum.  Block A's strategies with tuple 0 at +1 are enumerated in _signs
+    order; block B's signs match the winner's effective coefficients,
+    signs_a @ coef, zeros resolving to +1.
 
-
-def _slice_scans(coefs: np.ndarray) -> list[tuple[int, tuple, tuple]]:
-    """_block_scans of one slice, in one pass of chunks of at most 2**_CHUNK_LOG2 entries.
-
-    A suffix table holds tuple 0 plus every sum over the last free tuples,
-    laid out (B tuple, matrix, strategy); each chunk adds one row of the
-    leading tuples' table to it, or is the suffix table itself when there
-    are none.  Each matrix keeps a running best: the first maximum of a
-    chunk, replaced only by a strictly larger one, so the winner is the
-    lexicographically first maximiser and memory stays at one chunk.
+    One sizing rule: 2**level rows of the stack's w = matrices * 2**|B|
+    entries make about one chunk, level = _CHUNK_LOG2 - round(log2 w).  The
+    suffix table, laid out (B tuple, matrix, strategy), holds tuple 0 plus
+    the sums over the last `level` free tuples (0 to all of them); each
+    chunk adds one signed sum of the leading tuples to it, from nested
+    tables of max(level, 1) tuples.  So memory holds the suffix, one chunk
+    and one table per nesting level, each within one chunk (sqrt 2 of one,
+    from rounding) or two rows of w entries.  Each matrix keeps the first
+    maximum of a chunk, replaced only by a strictly larger one: the winner
+    is the lexicographically first maximiser.
     """
     count, rows, cols = coefs.shape
     free = rows - 1
-    suffix_log2 = min(max(_CHUNK_LOG2 - (count * cols - 1).bit_length(), 0), free)
+    level = _CHUNK_LOG2 - round(math.log2(count * cols))
+    suffix_log2 = min(max(level, 0), free)
     split = free - suffix_log2
     by_row = coefs.transpose(1, 2, 0)  # (A tuple, B tuple, matrix)
     suffix = _doubling_table(by_row[0], by_row[1 + split :])
     suffix = np.ascontiguousarray(suffix.transpose(1, 2, 0))
     if split:
         chunk = np.empty_like(suffix)
-        leading = _doubling_table(np.zeros_like(by_row[0]), by_row[1 : 1 + split])
+        leading = _leading_sums(np.zeros_like(by_row[0]), by_row[1 : 1 + split], max(level, 1))
         chunks = (np.add(row[:, :, None], suffix, out=chunk) for row in leading)
-    else:
+    else:  # as at every split to n = 7; a zero row to build and add would cost ~10 us of a 55 us call
         chunks = (suffix,)
     for start, effective in enumerate(chunks):
         # coefs' dtype holds every sum; numpy's default would widen small integers
@@ -366,7 +376,7 @@ def _slice_scans(coefs: np.ndarray) -> list[tuple[int, tuple, tuple]]:
             better = value > best
             best = np.where(better, value, best)
             best_index = np.where(better, index + (start << suffix_log2), best_index)
-    signs_a = 1 - 2 * (best_index[:, None] >> np.arange(free, -1, -1) & 1)
+    signs_a = _signs(best_index, rows)
     effective = np.matmul(signs_a[:, None, :], coefs)[:, 0]
     signs_b = np.where(effective >= 0, 1, -1)
     return [
@@ -434,8 +444,8 @@ def local_bound(p: Polynomial) -> BoundResult:
     negative = walsh[tied] < 0
     r = int(tied[np.argmin((tied >> 1) * 4 + negative * 2 + (negative ^ (tied & 1)))])
     sign = -1 if walsh[r] < 0 else 1
-    settings = [(1, 1 - 2 * (r >> (p.n - 1 - j) & 1)) for j in range(p.n - 1)]
-    settings.append((sign, sign * (1 - 2 * (r & 1))))
+    flips = _signs(r, p.n).tolist()  # party j plays a' = a * flips[j]
+    settings = [(1, flip) for flip in flips[:-1]] + [(sign, sign * flips[-1])]
     # axis j is party j's setting, so the tensor is its own all-singletons arrangement
     return _checked_bound(tensor, int(best), settings, k, LocalStrategy(tuple(settings)))
 
@@ -459,27 +469,17 @@ def _bipartitions(n: int) -> tuple[Bipartition, ...]:
     return tuple(found)
 
 
-def _sign_rows(num_tuples: int) -> np.ndarray:
-    """The full +/-1 strategy table of a block, one row per strategy.
-
-    Row i assigns bit k of i (big-endian) to setting tuple k, with bit 0
-    meaning +1; integer order on i is then lexicographic order on strategies.
-    """
-    rows = np.arange(1 << num_tuples, dtype=np.int64)
-    return 1 - 2 * ((rows[:, None] >> np.arange(num_tuples - 1, -1, -1)) & 1)
-
-
 def hybrid_bound(
     p: Polynomial,
     partition: Bipartition,
     *,
     max_block_size: int = DEFAULT_HYBRID_BLOCK_CAP,
 ) -> BoundResult:
-    """Exact hybrid-model maximum for one bipartition.
+    """Exact hybrid-model maximum for one bipartition, by _hybrid_bounds.
 
-    The block scan with blocks (A, B): only the 2**(2**|A| - 1) strategies of
-    the smaller block A with +1 on its first setting tuple are enumerated, and
-    block B's signs match its effective coefficients.
+    Only the 2**(2**|A| - 1) strategies of the smaller block A with +1 on its
+    first setting tuple are enumerated, and block B's signs match its
+    effective coefficients.
     """
     _check_integer("max_block_size", max_block_size, 1)
     _check_same_count("bipartition", partition.n, "polynomial", p.n)
@@ -489,20 +489,34 @@ def hybrid_bound(
             f"block A has {size_a} parties; enumeration is capped at "
             f"{max_block_size} (--hybrid-block-cap)"
         )
+    return _hybrid_bounds(p, (partition,))[0]
+
+
+def _hybrid_bounds(p: Polynomial, partitions: tuple[Bipartition, ...]) -> list[BoundResult]:
+    """Each split's hybrid bound, in order: the one path of hybrid_bound and hybrid_bound_all.
+
+    Splits with equal block matrices share one scan; one tensor gives every
+    matrix one dtype.  Each shape's distinct matrices go to _block_scans as
+    one stack, and each split builds its own witness and re-sums it.
+    """
     tensor, k = _scaled_tensor(p)
-    coef = _arrange(tensor, (partition.block_a_parties, partition.block_b_parties))
-    return _split_bound(partition, coef, k, _block_scans(coef[None])[0])
-
-
-def _split_bound(partition: Bipartition, coef: np.ndarray, k: int, scan) -> BoundResult:
-    """One split's bound from a _block_scans result: its own witness, re-summed on its own matrix."""
-    best, products, signs = scan
-    witness = HybridWitness(
-        partition,
-        BlockStrategy(partition.block_a_parties, products[0]),
-        BlockStrategy(partition.block_b_parties, products[1]),
-    )
-    return _checked_bound(coef, best, signs, k, witness)
+    splits = []
+    groups: dict = {}  # shape -> {(shape, entries): the first matrix with them}
+    for partition in partitions:
+        coef = _arrange(tensor, (partition.block_a_parties, partition.block_b_parties))
+        # object entries are Python ints, equal by value and not by their bytes
+        key = (coef.shape, tuple(coef.ravel().tolist()) if coef.dtype == object else coef.tobytes())
+        groups.setdefault(coef.shape, {}).setdefault(key, coef)
+        splits.append((partition, coef, key))
+    scans = {}
+    for matrices in groups.values():
+        scans.update(zip(matrices, _block_scans(np.array(list(matrices.values())))))
+    results = []
+    for partition, coef, key in splits:
+        best, (a, b), signs = scans[key]
+        blocks = BlockStrategy(partition.block_a_parties, a), BlockStrategy(partition.block_b_parties, b)
+        results.append(_checked_bound(coef, best, signs, k, HybridWitness(partition, *blocks)))
+    return results
 
 
 def brute_hybrid_bound(
@@ -524,8 +538,8 @@ def brute_hybrid_bound(
         )
     tensor, k = _scaled_tensor(p)
     coef = _arrange(tensor, (a, b))
-    signs_a = _sign_rows(tuples_a)
-    signs_b = _sign_rows(tuples_b)
+    signs_a = _signs(np.arange(1 << tuples_a), tuples_a)
+    signs_b = _signs(np.arange(1 << tuples_b), tuples_b)
     table = signs_a @ coef @ signs_b.T
     flat = int(np.argmax(table))
     ia, ib = divmod(flat, table.shape[1])
@@ -563,16 +577,12 @@ class HybridScan:
 def hybrid_bound_all(
     p: Polynomial, *, max_block_size: int = DEFAULT_HYBRID_BLOCK_CAP
 ) -> HybridScan:
-    """hybrid_bound over every canonical bipartition, and their maximum.
+    """hybrid_bound over every canonical bipartition, and their maximum (the first one on ties).
 
-    Every split's block matrix is arranged first.  Splits with equal integer
-    matrices (same shape, dtype and entries) share one scan, and the distinct
-    matrices of one shape are scanned together by one _block_scans call: the
-    35 4|4 matrices of a dense n = 8 polynomial in one pass instead of 35.
-    Every named family is invariant under party permutations, so it has one
-    matrix per block size: 4 scanned matrices for the 127 or 255 splits at
-    n = 8, 9.  Each split then builds its own witness and re-sums it on its
-    own block matrix.
+    In one _hybrid_bounds call: the 35 4|4 matrices of a dense n = 8
+    polynomial are scanned in one pass, not 35.  Every named family is
+    invariant under party permutations, so it has one matrix per block size:
+    4 scanned matrices for the 127 or 255 splits at n = 8, 9.
     """
     _check_integer("max_block_size", max_block_size, 1)
     if p.n // 2 > max_block_size:  # fail before computing any partition
@@ -580,26 +590,7 @@ def hybrid_bound_all(
             f"a balanced split of {p.n} parties has a block of {p.n // 2}; "
             f"enumeration is capped at {max_block_size} (--hybrid-block-cap)"
         )
-    tensor, k = _scaled_tensor(p)
-    splits = []
-    groups: dict = {}  # (shape, dtype) -> {block matrix key: the first matrix with it}
-    for partition in bipartitions(p.n):
-        coef = _arrange(tensor, (partition.block_a_parties, partition.block_b_parties))
-        if coef.dtype == object:
-            key = (coef.shape, tuple(coef.ravel().tolist()))
-        else:
-            key = (coef.shape, coef.dtype, coef.tobytes())
-        groups.setdefault((coef.shape, coef.dtype), {}).setdefault(key, coef)
-        splits.append((partition, coef, key))
-    scans = {}
-    for matrices in groups.values():
-        scans.update(zip(matrices, _block_scans(np.stack(list(matrices.values())))))
-    results = []
-    overall: BoundResult | None = None
-    for partition, coef, key in splits:
-        result = _split_bound(partition, coef, k, scans[key])
-        results.append((partition, result))
-        if overall is None or result.value_exact > overall.value_exact:
-            overall = result
-    assert overall is not None
-    return HybridScan(results=tuple(results), overall=overall)
+    partitions = bipartitions(p.n)
+    results = _hybrid_bounds(p, partitions)
+    overall = max(results, key=lambda result: result.value_exact)  # max keeps the first
+    return HybridScan(results=tuple(zip(partitions, results)), overall=overall)

@@ -71,6 +71,9 @@ VALID = [
     ["--format", "structured", "bounds", "svetlichny", "10", "--models", "local"],
     ["bounds", "mk", "11", "--models", "local"],
     ["--format", "structured", "bounds", "mk", "16", "--models", "local"],
+    # a 4|12 split, whose leading tuples' sums come from nested tables
+    ["--format", "structured", "bounds", "mk", "16", "--models", "hybrid", "--partition",
+     "A=1,2,3,4|B=5,6,7,8,9,10,11,12,13,14,15,16"],
     ["bounds", "mk", "1", "--models", "local"],
     [*QMAX, "mk", "3"],
     ["--format", "structured", *QMAX, "svetlichny", "3"],
@@ -168,6 +171,7 @@ SINGLE_FAULT = [
     ["--seed", "-1", "qmax", "mk", "2"],
     ["bounds", "mk", "3", "--models", "local", "--partition", "A=1|B=2,3"],
     ["--local-cap", "10", "bounds", "mk", "3"],
+    ["-x", "10", "bounds", "mk", "3"],
 ]
 
 DOUBLE_FAULT = [

@@ -128,12 +128,18 @@ class TestBounds:
             (["--local-cap=10", "bounds", "mk", "3"], "--local-cap=10"),
             (["--seed", "3", "--bogus", "10", "bounds", "mk", "3"], "--bogus 10"),
             (["bounds", "mk", "3", "--local-cap", "10"], "--local-cap 10"),
+            (["-x", "10", "bounds", "mk", "3"], "-x 10"),
         ],
     )
     def test_an_unknown_flag_is_named_wherever_it_stands(self, argv, named):
         res = run_cli(*argv)
         assert (res.code, res.out) == (2, "")
         assert res.err.rstrip().endswith(f"error: unrecognized arguments: {named}")
+
+    def test_a_negative_number_before_the_command_is_a_command(self):
+        res = run_cli("-5", "bounds", "mk", "3")
+        assert (res.code, res.out) == (2, "")
+        assert "argument command: invalid choice: '-5'" in res.err
 
     def test_a_known_flag_prefix_still_resolves_before_the_command(self):
         assert run_cli("--spec", "2", "bounds", "mk", "3").code == 0

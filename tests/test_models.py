@@ -252,9 +252,16 @@ class TestLocalOracle:
         assert result.witness.as_dict() == witness.as_dict()
 
 
+@pytest.mark.parametrize("width", range(5))
+def test_signs_number_the_sign_tables_in_lexicographic_order(width):
+    explicit = [list(signs) for signs in itertools.product((1, -1), repeat=width)]
+    assert M._signs(np.arange(1 << width), width).tolist() == explicit
+    assert [M._signs(index, width).tolist() for index in range(1 << width)] == explicit
+
+
 def brute_block_scan(arranged: np.ndarray) -> tuple[int, list[tuple[int, ...]]]:
     """Every pair of the two blocks' full sign tables in lexicographic order, block A most significant; the first maximiser."""
-    tables = [M._sign_rows(count) for count in arranged.shape]
+    tables = [M._signs(np.arange(1 << count), count) for count in arranged.shape]
     best = None
     for rows in itertools.product(*tables):
         total = arranged.astype(object)
@@ -368,6 +375,44 @@ class TestBlockScan:
             assert (best, list(products)) == brute_block_scan(matrix)
             assert best == 15 * (i + 1) * (i + 2)
         assert len({products for _, products, _ in scans}) == len(stack)
+
+    @pytest.mark.parametrize("chunk_log2", [2, 3])
+    @pytest.mark.parametrize("cols_log2", [0, 1, 2])
+    def test_nested_leading_tables_match_the_full_enumeration(self, cols_log2, chunk_log2, monkeypatch):
+        """Block A of 3 parties: its 7 free tuples span a suffix and 3 to 7 nested leading tables."""
+        rng = np.random.default_rng(8 * cols_log2 + chunk_log2)
+        stack = rng.integers(-1, 2, size=(2, 8, 1 << cols_log2)).astype(np.int16)
+        monkeypatch.setattr(M, "_CHUNK_LOG2", chunk_log2)
+        for matrix, (best, products, _) in zip(stack, M._block_scans(stack)):
+            assert (best, list(products)) == brute_block_scan(matrix)
+
+    @pytest.mark.parametrize("chunk_log2", [2, 4, 6])
+    @pytest.mark.parametrize("count, widths", [(1, (2, 4)), (3, (2, 5)), (1, (3, 6)), (2, (4, 8))])
+    def test_no_table_outgrows_a_chunk(self, count, widths, chunk_log2, monkeypatch):
+        """Every table holds one chunk at most (sqrt 2 of them after rounding) or two rows of the stack.
+
+        |B| >= 2|A| makes the leading tuples' sums larger than a chunk; the
+        scan's results equal those at the default chunk size.
+        """
+        rng = np.random.default_rng(count)
+        stack = rng.integers(-3, 4, size=(count, *(1 << w for w in widths))).astype(np.int16)
+        expected = M._block_scans(stack)
+        sizes = []
+        real = M._doubling_table
+
+        def spy(first, rows):
+            table = real(first, rows)
+            sizes.append(table.size)
+            return table
+
+        monkeypatch.setattr(M, "_doubling_table", spy)
+        monkeypatch.setattr(M, "_CHUNK_LOG2", chunk_log2)
+        scans = M._block_scans(stack)
+        width = count << widths[1]
+        assert max(sizes) <= max(2 ** (chunk_log2 + 0.5), 2 * width)
+        assert [(best, products) for best, products, _ in scans] == [
+            (best, products) for best, products, _ in expected
+        ]
 
 
 def block_matrix_by_terms(p: Polynomial, a: tuple[int, ...], b: tuple[int, ...]) -> np.ndarray:
@@ -672,7 +717,7 @@ class TestSharedScans:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        st.integers(2, 6),
+        st.integers(2, 7),
         st.sampled_from(["random", "symmetric", "wide"]),
         st.integers(0, 2**32 - 1),
     )
@@ -684,6 +729,15 @@ class TestSharedScans:
         if form == "wide":
             p = with_tiny_corner(p)
             assert M._scaled_tensor(p)[0].dtype == object
+        self.check(p)
+
+    @pytest.mark.parametrize("kind", ["mk", "svetlichny"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_split_of_a_named_family_matches_its_own_scan(self, kind, n):
+        self.check(getattr(P, kind)(n))
+
+    @staticmethod
+    def check(p: Polynomial) -> None:
         scan = M.hybrid_bound_all(p)
         for partition, result in scan:
             assert result.as_dict() == M.hybrid_bound(p, partition).as_dict()
